@@ -185,6 +185,13 @@ def _cmd_bounds(args):
 
 # ---------------------------------------------------------------- gauss-lucas
 
+def _complex_csv_parts(p, k: int):
+    """Roots and hulls of p and of its k-th derivative, for --emit-csv."""
+    before = complex_roots(p)
+    after = complex_roots(derivative(p, k))
+    return before, after, hull(before), hull(after)
+
+
 def _cmd_gauss_lucas(args):
     check = args.check
     c = args.c
@@ -202,9 +209,8 @@ def _cmd_gauss_lucas(args):
             outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
                        "bound": bound, "bound_realized": 4.0 * (cr - cr * cr),
                        "verdict": "within_bound"}
-            before = complex_roots(p)
-            after = complex_roots(derivative(p, k))
-            csv_parts = (before, after, hull(before), hull(after))
+            if args.emit_csv:
+                csv_parts = _complex_csv_parts(p, k)
         elif check == "spread":
             p = formats.load_poly_real_rooted(args.poly)
             ratio, bound = rr_spread_ratio(p, c)
@@ -214,10 +220,11 @@ def _cmd_gauss_lucas(args):
             outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
                        "bound": bound, "bound_realized": realized,
                        "verdict": "within_bound"}
-            before = RootSet(tuple(complex(r) for r in p.roots), 0.0)
-            q = nth_derivative_roots(p, k)
-            after = RootSet(tuple(complex(r) for r in q.roots), 0.0)
-            csv_parts = (before, after, None, None)
+            if args.emit_csv:
+                before = RootSet(tuple(complex(r) for r in p.roots), 0.0)
+                q = nth_derivative_roots(p, k)
+                after = RootSet(tuple(complex(r) for r in q.roots), 0.0)
+                csv_parts = (before, after, None, None)
         elif check == "disc":
             p = formats.load_poly_complex(args.poly)
             maxmod, bound = disc_containment(p, c)
@@ -227,9 +234,8 @@ def _cmd_gauss_lucas(args):
             outputs = {"check": check, "n": p.degree, "k": k, "max_modulus": maxmod,
                        "bound": bound, "bound_realized": realized,
                        "verdict": "within_bound"}
-            before = complex_roots(p)
-            after = complex_roots(derivative(p, k))
-            csv_parts = (before, after, hull(before), hull(after))
+            if args.emit_csv:
+                csv_parts = _complex_csv_parts(p, k)
         elif check == "chain":
             p = formats.load_poly_complex(args.poly)
             if args.k is not None:

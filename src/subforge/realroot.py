@@ -137,6 +137,11 @@ def _smax_batch(roots: np.ndarray, phi: float, iters: int = 110) -> np.ndarray:
 
 def _cluster(roots: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
     """Group sorted roots into distinct values with multiplicities."""
+    top = roots[1:]
+    if np.all(top - roots[:-1] > rel * np.maximum(1.0, np.abs(top))):
+        # every gap is wide: each root is its own cluster (the loop below
+        # would make a break at every index)
+        return roots.copy(), np.ones(len(roots), dtype=np.int64)
     breaks = [0]
     for i in range(1, len(roots)):
         if roots[i] - roots[breaks[-1]] > rel * max(1.0, abs(roots[i])):
@@ -147,44 +152,85 @@ def _cluster(roots: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.asarray(mult)
 
 
-def derivative_roots(p: RealRootedPoly, tol: Tolerances = DEFAULT) -> RealRootedPoly:
-    """Roots of p', computed in root space.
+def derivative_roots_batch(roots: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Roots of p' for every row p of an (r, deg) array of ascending roots.
 
-    A root of multiplicity m passes m - 1 exact copies to p'.  Between
-    consecutive distinct roots, p'/p = sum mult_j/(x - mu_j) falls from +inf
-    to -inf, so the single interior root of p' is found by bisection on that
-    sum (all gaps in lockstep), then polished by two clamped Newton steps.
+    Returns an (r, deg - 1) array of ascending rows.  Each row is clustered
+    on its own, and a root of multiplicity m passes m - 1 exact copies to p'.
+    Rows with the same number of distinct roots are solved together; every
+    row comes out bit-identical to the same row solved alone.
     """
-    if p.degree < 2:
+    roots = np.asarray(roots, dtype=float)
+    r, deg = roots.shape
+    if deg < 2:
         raise DegreeTooSmall("derivative of a degree-1 polynomial has no roots")
-    distinct, mult = _cluster(p.as_array(), tol.cluster)
-    kept = np.repeat(distinct, mult - 1)
-    if len(distinct) == 1:
-        return RealRootedPoly(tuple(kept))
+    clusters = [_cluster(row, tol.cluster) for row in roots]
+    groups: dict[int, list[int]] = {}
+    for i, (distinct, _) in enumerate(clusters):
+        groups.setdefault(len(distinct), []).append(i)
+    out = np.empty((r, deg - 1))
+    for n_distinct, rows in groups.items():
+        distinct = np.array([clusters[i][0] for i in rows])
+        mult = np.array([clusters[i][1] for i in rows])
+        kept = np.repeat(distinct.ravel(), (mult - 1).ravel()).reshape(len(rows), deg - n_distinct)
+        if n_distinct == 1:
+            out[rows] = kept
+        else:
+            x = _interior_roots(distinct, mult.astype(float), tol)
+            out[rows] = np.sort(np.concatenate([kept, x], axis=1), axis=1)
+    return out
 
-    lo = distinct[:-1].copy()
-    hi = distinct[1:].copy()
-    mw = mult.astype(float)
 
-    def s_at(x):
-        return np.sum(mw[None, :] / (x[:, None] - distinct[None, :]), axis=1)
+def _interior_roots(mu: np.ndarray, w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """For (g, D) rows of distinct roots mu and weights w, the root of
+    sum_j w_j/(x - mu_j) in each of the D - 1 gaps.
 
+    Between consecutive distinct roots the sum falls from +inf to -inf, so
+    the gaps of a row are bisected in lockstep until all of them meet the
+    root tolerance; a row leaves the batch on the iteration it finishes.  Two
+    clamped Newton steps then polish every root.  Sums run over the last,
+    contiguous axis, so a row's arithmetic does not depend on its batch.
+    """
+    lo = mu[:, :-1].copy()
+    hi = mu[:, 1:].copy()
+    live = np.arange(len(mu))  # rows still bisecting
+    a_lo, a_hi, a_mu, a_w = lo, hi, mu[:, None, :], w[:, None, :]
     for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        pos = s_at(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all(hi - lo <= tol.root * np.maximum(1.0, np.abs(mid))):
+        mid = 0.5 * (a_lo + a_hi)
+        pos = (a_w / (mid[:, :, None] - a_mu)).sum(axis=2) > 0.0
+        a_lo = np.where(pos, mid, a_lo)
+        a_hi = np.where(pos, a_hi, mid)
+        done = (a_hi - a_lo <= tol.root * np.maximum(1.0, np.abs(mid))).all(axis=1)
+        n_done = np.count_nonzero(done)
+        if n_done == len(live):
             break
+        if n_done:
+            lo[live[done]] = a_lo[done]
+            hi[live[done]] = a_hi[done]
+            rest = ~done
+            live, a_lo, a_hi, a_mu, a_w = live[rest], a_lo[rest], a_hi[rest], a_mu[rest], a_w[rest]
+    lo[live] = a_lo
+    hi[live] = a_hi
+
     x = 0.5 * (lo + hi)
     for _ in range(2):
-        diffs = x[:, None] - distinct[None, :]
-        s = np.sum(mw[None, :] / diffs, axis=1)
-        sp = np.sum(mw[None, :] / diffs**2, axis=1)
+        diffs = x[:, :, None] - mu[:, None, :]
+        s = (w[:, None, :] / diffs).sum(axis=2)
+        sp = (w[:, None, :] / diffs**2).sum(axis=2)
         step = x + s / sp
         x = np.where((step > lo) & (step < hi), step, x)
+    return x
 
-    return RealRootedPoly(tuple(np.sort(np.concatenate([kept, x]))))
+
+def derivative_roots(p: RealRootedPoly, tol: Tolerances = DEFAULT) -> RealRootedPoly:
+    """Roots of p', computed in root space as the one-row case of
+    derivative_roots_batch.
+
+    A root of multiplicity m passes m - 1 exact copies to p'; each gap between
+    consecutive distinct roots holds one more root of p', found by bisection
+    and polished by two clamped Newton steps.
+    """
+    return RealRootedPoly(tuple(derivative_roots_batch(p.as_array()[None, :], tol)[0]))
 
 
 def nth_derivative_roots(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> RealRootedPoly:

@@ -45,7 +45,15 @@ from .errors import (
     ZeroOperator,
 )
 from .oracle import charpoly_coeffs_unchecked, derivative_coeffs
-from .realroot import RealRootedPoly, _smax_batch, max_root, nth_derivative_roots, potential, smax
+from .realroot import (
+    RealRootedPoly,
+    _smax_batch,
+    derivative_roots_batch,
+    max_root,
+    nth_derivative_roots,
+    potential,
+    smax,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,8 @@ class HermitianMatrix:
             raise NotHermitian("matrix must be square")
         if a.shape[0] < 1:
             raise NotHermitian("matrix must be nonempty")
+        if not np.all(np.isfinite(a)):
+            raise NotHermitian("matrix entries must be finite")
         dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
         scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
         if dev > DEFAULT.hermitian * scale:
@@ -198,8 +208,9 @@ def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT)
 
     At matrix size m the compared polynomial is the (m - 1 - k)-th derivative
     of the candidate charpoly, so the final comparison is between actual
-    degree-k charpolys.  Certified bound: max root of the (n - k)-th
-    derivative of the full charpoly.
+    degree-k charpolys.  All m candidates of a round go down the derivative
+    chain together, one batched call per derivative order.  Certified bound:
+    max root of the (n - k)-th derivative of the full charpoly.
     """
     n = a.n
     k = _check_keep(n, k)
@@ -207,11 +218,10 @@ def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT)
     live = list(range(n))
     trace: list[int] = []
     while len(live) > k:
-        d = len(live) - 1 - k
-        eig_rows = _candidate_eigs(a.entries, live)
-        scores = [max_root(nth_derivative_roots(RealRootedPoly(tuple(row)), d, tol))
-                  for row in eig_rows]
-        trace.append(live.pop(_pick(scores, live)))
+        rows = np.sort(_candidate_eigs(a.entries, live), axis=1)
+        for _ in range(len(live) - 1 - k):
+            rows = derivative_roots_batch(rows, tol)
+        trace.append(live.pop(_pick(rows[:, -1], live)))
     achieved = float(_eigs(a.entries[np.ix_(live, live)])[-1])
     return SelectionCertificate(tuple(live), achieved, float(bound),
                                 SelectionMode.MAXROOT_GREEDY, None, tuple(trace))

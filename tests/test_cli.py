@@ -78,6 +78,15 @@ def test_select_keep_frac(tmp_path, capsys):
     assert len(report["outputs"]["certificate"]["kept_indices"]) == 2
 
 
+def test_select_rejects_nan_matrix(tmp_path, capsys):
+    # a NaN entry is rejected where the matrix enters the system (exit code 2)
+    f = matrix_file(tmp_path, "nan.json", [[float("nan"), 0.0], [0.0, 1.0]])
+    assert "NaN" in open(f, encoding="utf-8").read()
+    rc, _, err = run(capsys, ["select", "--matrix", f, "--mode", "smax", "--keep", "1",
+                              "--phi", "1"])
+    assert rc == 2 and json.loads(err)["error"] == "NotHermitian"
+
+
 def test_select_input_errors(tmp_path, capsys):
     f = matrix_file(tmp_path, "m.json", np.diag([1.0, 2.0, 3.0]))
     # --phi outside smax mode
@@ -180,6 +189,25 @@ def test_gauss_lucas_emit_csv(tmp_path, capsys):
     assert lines[0] == "kind,re,im"
     kinds = {ln.split(",")[0] for ln in lines[1:]}
     assert "root_before" in kinds and "root_after" in kinds and "hull_before" in kinds
+
+
+def test_gauss_lucas_roots_for_csv_only_when_asked(tmp_path, capsys, monkeypatch):
+    # the CLI's own complex_roots calls feed the CSV alone; without
+    # --emit-csv they are skipped and the report is the same
+    import subforge.cli as cli
+
+    f = poly_file(tmp_path, "p.json", {"roots": [[0.5, 0.1], [-0.4, 0.3], [0.1, -0.6],
+                                                 [-0.2, 0.2]]})
+    for check in ("area", "disc"):
+        argv = ["gauss-lucas", "--poly", f, "--check", check, "--c", "0.5"]
+        with_csv = run_report(capsys, argv + ["--emit-csv", str(tmp_path / "r.csv")])
+        calls = []
+        real = cli.complex_roots
+        monkeypatch.setattr(cli, "complex_roots", lambda p: calls.append(p) or real(p))
+        plain = run_report(capsys, argv)
+        monkeypatch.setattr(cli, "complex_roots", real)
+        assert calls == []
+        assert plain["outputs"] == with_csv["outputs"]
 
 
 def test_gauss_lucas_argument_errors(tmp_path, capsys):

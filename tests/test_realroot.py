@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subforge.errors import (
     BarrierNotRightOfRoots,
@@ -16,6 +18,7 @@ from subforge.realroot import (
     PHI_INFINITY,
     RealRootedPoly,
     derivative_roots,
+    derivative_roots_batch,
     max_root,
     nth_derivative_roots,
     potential,
@@ -138,3 +141,98 @@ def test_nth_derivative_order_validation():
         nth_derivative_roots(p, 3)
     with pytest.raises(InputError):
         nth_derivative_roots(p, 1.5)
+
+
+def _reference_derivative_roots(roots, rel=1e-10, root_tol=1e-12):
+    """One polynomial at a time, with the cluster loop: the scalar algorithm
+    that derivative_roots_batch must reproduce bit for bit on every row."""
+    breaks = [0]
+    for i in range(1, len(roots)):
+        if roots[i] - roots[breaks[-1]] > rel * max(1.0, abs(roots[i])):
+            breaks.append(i)
+    breaks.append(len(roots))
+    distinct = np.array([roots[breaks[j]:breaks[j + 1]].mean() for j in range(len(breaks) - 1)])
+    mult = np.diff(breaks)
+    kept = np.repeat(distinct, mult - 1)
+    if len(distinct) == 1:
+        return kept
+    lo = distinct[:-1].copy()
+    hi = distinct[1:].copy()
+    mw = mult.astype(float)
+
+    def s_at(x):
+        return np.sum(mw[None, :] / (x[:, None] - distinct[None, :]), axis=1)
+
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        pos = s_at(mid) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+        if np.all(hi - lo <= root_tol * np.maximum(1.0, np.abs(mid))):
+            break
+    x = 0.5 * (lo + hi)
+    for _ in range(2):
+        diffs = x[:, None] - distinct[None, :]
+        s = np.sum(mw[None, :] / diffs, axis=1)
+        sp = np.sum(mw[None, :] / diffs**2, axis=1)
+        step = x + s / sp
+        x = np.where((step > lo) & (step < hi), step, x)
+    return np.sort(np.concatenate([kept, x]))
+
+
+_VALUES = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _root_batches(draw):
+    """Same-degree rows of mixed cluster structure: free, drawn from a small
+    pool (repeated roots), all equal, or pairs split by about the cluster
+    tolerance."""
+    deg = draw(st.integers(2, 12))
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("free", "pool", "equal", "near")))
+        if kind == "free":
+            row = draw(st.lists(_VALUES, min_size=deg, max_size=deg))
+        elif kind == "pool":
+            row = draw(st.lists(st.sampled_from(pool), min_size=deg, max_size=deg))
+        elif kind == "equal":
+            row = [draw(_VALUES)] * deg
+        else:
+            base = draw(st.lists(_VALUES, min_size=1, max_size=deg))
+            eps = draw(st.sampled_from((0.5e-10, 1e-10, 2e-10)))
+            row = [b + j * eps * max(1.0, abs(b)) for j, b in enumerate(base)]
+            row = (row * deg)[:deg]
+        rows.append(sorted(row))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_batches())
+def test_derivative_roots_batch_matches_each_row(rows):
+    got = derivative_roots_batch(rows)
+    assert got.shape == (rows.shape[0], rows.shape[1] - 1)
+    for row, out in zip(rows, got):
+        ref = _reference_derivative_roots(row)
+        assert [v.hex() for v in out] == [float(v).hex() for v in ref]
+        alone = derivative_roots(RealRootedPoly(tuple(row))).roots
+        assert [v.hex() for v in out] == [v.hex() for v in alone]
+
+
+def test_derivative_roots_batch_mixed_rows():
+    # distinct roots, a double top root, all equal, and a triple interior
+    # root in one batch of degree 4; degree 2 on its own
+    rows = np.array([[-1.0, 0.0, 2.0, 5.0],
+                     [-1.0, 0.0, 3.0, 3.0],
+                     [2.0, 2.0, 2.0, 2.0],
+                     [-4.0, 1.0, 1.0, 1.0]])
+    got = derivative_roots_batch(rows)
+    for row, out in zip(rows, got):
+        assert np.array_equal(out, _reference_derivative_roots(row))
+    assert tuple(got[2]) == (2.0, 2.0, 2.0)
+    quad = derivative_roots_batch(np.array([[0.0, 1.0], [3.0, 3.0]]))
+    assert quad[0, 0] == pytest.approx(0.5, abs=1e-12) and quad[1, 0] == 3.0
+    assert quad[0, 0] == _reference_derivative_roots(np.array([0.0, 1.0]))[0]
+    with pytest.raises(DegreeTooSmall):
+        derivative_roots_batch(np.array([[1.0], [2.0]]))

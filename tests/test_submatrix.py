@@ -16,7 +16,7 @@ from subforge.errors import (
     SpectrumOutOfRange,
     ZeroOperator,
 )
-from subforge.realroot import RealRootedPoly, smax
+from subforge.realroot import RealRootedPoly, max_root, nth_derivative_roots, smax
 from subforge.submatrix import (
     HermitianMatrix,
     RectOperator,
@@ -42,6 +42,17 @@ def test_hermitian_validation():
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         HermitianMatrix(np.zeros((2, 3)))
+
+
+def test_hermitian_rejects_non_finite():
+    # nan > tol is False, so a NaN entry used to slip through the symmetry test
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        a = np.eye(2, dtype=complex)
+        a[0, 0] = bad
+        with pytest.raises(NotHermitian):
+            HermitianMatrix(a)
+    with pytest.raises(NotHermitian):
+        select_smax_greedy(HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]])), 1, 1.0)
 
 
 def test_eigenvalues_sorted():
@@ -96,6 +107,33 @@ def test_maxroot_greedy_keep_validation():
     for bad in (0, 4, 5, 1.5):
         with pytest.raises(KOutOfRange):
             select_maxroot_greedy(a, bad)
+
+
+def _maxroot_reference(a: np.ndarray, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The maxroot greedy with every candidate scored by its own derivative chain."""
+    live = list(range(a.shape[0]))
+    trace = []
+    while len(live) > k:
+        scores = []
+        for t in range(len(live)):
+            keep = live[:t] + live[t + 1:]
+            ev = np.linalg.eigvalsh(a[np.ix_(keep, keep)])
+            q = nth_derivative_roots(RealRootedPoly(tuple(ev)), len(live) - 1 - k)
+            scores.append(max_root(q))
+        t = min(range(len(live)), key=lambda j: (scores[j], live[j]))
+        trace.append(live.pop(t))
+    return tuple(live), tuple(trace)
+
+
+def test_maxroot_batched_scoring_matches_per_candidate_loop():
+    rng = np.random.default_rng(31)
+    cases = [(rand_herm(rng, n), k) for n, k in ((4, 1), (6, 3), (9, 2), (12, 6), (13, 9))]
+    # repeated eigenvalues: clustered candidate roots and exact score ties
+    cases.append((np.kron(np.eye(3), np.ones((3, 3))), 4))
+    cases.append((rand_traceless_unit(rng, 10), 5))
+    for a, k in cases:
+        cert = select_maxroot_greedy(HermitianMatrix(a), k)
+        assert (cert.kept_indices, cert.removal_trace) == _maxroot_reference(a, k)
 
 
 def test_maxroot_bound_dominates_brute_force():
