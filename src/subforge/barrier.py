@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     KOutOfRange,
 )
-from .realroot import PHI_INFINITY, RealRootedPoly, max_root, smax, _PhiInfinity
+from .realroot import PHI_INFINITY, RealRootedPoly, _check_count, _PhiInfinity, max_root, smax
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,9 @@ class BoundReport:
     formula_id: str
 
 
-def _check_k(p: RealRootedPoly, k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise KOutOfRange("derivative count must be an integer")
-    if k < 0 or k > p.degree - 1:
-        raise KOutOfRange(f"derivative count {k} outside [0, {p.degree - 1}]")
-    return int(k)
-
-
 def barrier_bound(p: RealRootedPoly, k: int, phi, tol: Tolerances = DEFAULT) -> float:
     """smax_phi(p) - k/phi; certified upper bound on the k-th derivative's max root."""
-    k = _check_k(p, k)
+    k = _check_count(k, 0, p.degree - 1, KOutOfRange, "derivative count")
     if phi is PHI_INFINITY:
         return max_root(p)
     return smax(p, phi, tol) - k / phi
@@ -74,7 +66,7 @@ def optimize_barrier(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> Bo
     for the profiles of interest, but the scan costs little and protects
     against flat stretches), then golden-section refinement on log phi.
     """
-    k = _check_k(p, k)
+    k = _check_count(k, 0, p.degree - 1, KOutOfRange, "derivative count")
     roots = p.as_array()
     span = float(roots[-1] - roots[0])
     if span <= tol.cluster * max(1.0, abs(roots[-1])):

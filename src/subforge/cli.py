@@ -27,6 +27,7 @@ from .config import VERSION
 from .errors import BoundViolation, DegenerateHull, InputError
 from .gausslucas import (
     RootSet,
+    area_bound,
     check_chain,
     check_pereira,
     complex_roots,
@@ -35,6 +36,7 @@ from .gausslucas import (
     gl_area_ratio,
     hull,
     rr_spread_ratio,
+    spread_bound,
 )
 from .realroot import PHI_INFINITY, RealRootedPoly, derivative_roots, nth_derivative_roots, smax
 from .submatrix import (
@@ -188,6 +190,9 @@ def _cmd_bounds(args):
 def _complex_csv_parts(p, k: int):
     """Roots and hulls of p and of its k-th derivative, for --emit-csv."""
     before = complex_roots(p)
+    if k >= p.degree:
+        # the k-th derivative is a nonzero constant: no roots, no hull
+        return before, RootSet((), 0.0), hull(before), None
     after = complex_roots(derivative(p, k))
     return before, after, hull(before), hull(after)
 
@@ -205,9 +210,8 @@ def _cmd_gauss_lucas(args):
             p = formats.load_poly_complex(args.poly)
             ratio, bound = gl_area_ratio(p, c)
             k = math.ceil(c * p.degree)
-            cr = k / p.degree
             outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
-                       "bound": bound, "bound_realized": 4.0 * (cr - cr * cr),
+                       "bound": bound, "bound_realized": area_bound(k / p.degree),
                        "verdict": "within_bound"}
             if args.emit_csv:
                 csv_parts = _complex_csv_parts(p, k)
@@ -215,10 +219,8 @@ def _cmd_gauss_lucas(args):
             p = formats.load_poly_real_rooted(args.poly)
             ratio, bound = rr_spread_ratio(p, c)
             k = math.floor(c * p.degree)
-            cr = k / p.degree
-            realized = 2.0 * math.sqrt(cr - cr * cr) if cr >= 0.5 else 1.0
             outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
-                       "bound": bound, "bound_realized": realized,
+                       "bound": bound, "bound_realized": spread_bound(k / p.degree),
                        "verdict": "within_bound"}
             if args.emit_csv:
                 before = RootSet(tuple(complex(r) for r in p.roots), 0.0)
@@ -229,10 +231,8 @@ def _cmd_gauss_lucas(args):
             p = formats.load_poly_complex(args.poly)
             maxmod, bound = disc_containment(p, c)
             k = math.floor(c * p.degree)
-            cr = k / p.degree
-            realized = 2.0 * math.sqrt(cr - cr * cr) if cr >= 0.5 else 1.0
             outputs = {"check": check, "n": p.degree, "k": k, "max_modulus": maxmod,
-                       "bound": bound, "bound_realized": realized,
+                       "bound": bound, "bound_realized": spread_bound(k / p.degree),
                        "verdict": "within_bound"}
             if args.emit_csv:
                 csv_parts = _complex_csv_parts(p, k)

@@ -1,4 +1,4 @@
-"""Numerical tolerances and runtime knobs.
+"""Numerical tolerances and the package version.
 
 All root-space solvers share one Tolerances instance.  The defaults are
 deliberate engineering choices (double precision leaves little headroom below
@@ -8,7 +8,6 @@ their own instance rather than mutating the module default.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -34,10 +33,9 @@ VERSION = "0.1.0"
 
 
 def worker_count() -> int:
-    """Worker cap for candidate scoring, from SUBFORGE_THREADS (default 1)."""
-    raw = os.environ.get("SUBFORGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    """Always 1: candidate eigensolves run serially on the calling thread.
+
+    Kept as a public name because run reports (the benchmark's traced
+    `worker_threads` field) still read it.
+    """
+    return 1

@@ -24,6 +24,7 @@ from .errors import (
     RootConvergenceFailure,
     SpectrumOutOfRange,
 )
+from .barrier import zd1_bound
 from .realroot import RealRootedPoly, derivative_roots, nth_derivative_roots
 
 _ABERTH_SEED = 781143
@@ -291,10 +292,16 @@ def directional_spread(rs, theta: float) -> float:
     return max(proj) - min(proj)
 
 
-def _realized_area_guard(ratio: float, c_real: float) -> None:
-    guaranteed = 4.0 * (c_real - c_real * c_real) if c_real >= 0.5 else 1.0
-    if ratio > guaranteed + 1e-6:
-        raise BoundViolation(f"area ratio {ratio} exceeds guaranteed {guaranteed}")
+def area_bound(c: float) -> float:
+    """Guaranteed hull-area ratio after a fraction c of derivatives:
+    4(c - c^2) for c >= 1/2, the trivial 1 below."""
+    return 4.0 * (c - c * c) if c >= 0.5 else 1.0
+
+
+def spread_bound(c: float) -> float:
+    """Guaranteed spread (or disc radius) ratio after a fraction c of
+    derivatives: 2 sqrt(c - c^2) for c >= 1/2, the trivial 1 below."""
+    return zd1_bound(c) if c >= 0.5 else 1.0
 
 
 def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
@@ -314,11 +321,13 @@ def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
     k = math.ceil(c * n)
     if k >= n:
         # the k-th derivative is a nonzero constant: empty root set, area 0
-        return 0.0, 4.0 * (c - c * c)
+        return 0.0, area_bound(c)
     hk = hull(complex_roots(derivative(p, k)))
     ratio = hk.area / h0.area
-    _realized_area_guard(ratio, k / n)
-    return ratio, 4.0 * (c - c * c)
+    guaranteed = area_bound(k / n)
+    if ratio > guaranteed + 1e-6:
+        raise BoundViolation(f"area ratio {ratio} exceeds guaranteed {guaranteed}")
+    return ratio, area_bound(c)
 
 
 def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
@@ -338,11 +347,10 @@ def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
     k = math.floor(c * n)
     q = nth_derivative_roots(p, k)
     ratio = (q.roots[-1] - q.roots[0]) / spread0
-    c_real = k / n
-    guaranteed = 2.0 * math.sqrt(c_real - c_real * c_real) if c_real >= 0.5 else 1.0
+    guaranteed = spread_bound(k / n)
     if ratio > guaranteed + 1e-8:
         raise BoundViolation(f"spread ratio {ratio} exceeds guaranteed {guaranteed}")
-    return ratio, 2.0 * math.sqrt(c - c * c)
+    return ratio, spread_bound(c)
 
 
 def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
@@ -361,11 +369,10 @@ def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
     k = math.floor(c * n)
     dk = complex_roots(derivative(p, k))
     maxmod = float(np.max(np.abs(np.asarray(dk.points))))
-    c_real = k / n
-    guaranteed = 2.0 * math.sqrt(c_real - c_real * c_real) if c_real >= 0.5 else 1.0
+    guaranteed = spread_bound(k / n)
     if maxmod > guaranteed + 1e-6:
         raise BoundViolation(f"max modulus {maxmod} exceeds guaranteed {guaranteed}")
-    return maxmod, 2.0 * math.sqrt(c - c * c)
+    return maxmod, spread_bound(c)
 
 
 def sharpness_experiment(m: int, c: float) -> float:

@@ -74,6 +74,15 @@ def potential(p: RealRootedPoly, b: float, tol: Tolerances = DEFAULT) -> float:
     return float(np.sum(1.0 / (b - p.as_array())))
 
 
+def _check_count(k, lo: int, hi: int, exc: type, what: str) -> int:
+    """Validate an integer count in [lo, hi]; failures raise the caller's `exc`."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise exc(f"{what} must be an integer")
+    if not lo <= k <= hi:
+        raise exc(f"{what} {k} outside [{lo}, {hi}]")
+    return int(k)
+
+
 def _check_phi(phi) -> None:
     if isinstance(phi, bool) or not isinstance(phi, (int, float, np.floating)):
         raise NonPositivePhi(f"phi must be a positive finite real, got {phi!r}")
@@ -97,19 +106,21 @@ def smax(p: RealRootedPoly, phi, tol: Tolerances = DEFAULT) -> float:
     if n == 1:
         return max_root(p) + 1.0 / phi
     u = hi
-    for _ in range(200):
-        f = float(np.sum(1.0 / (u + d))) - phi
-        if abs(f) <= tol.phi * phi:
-            break
-        if f > 0.0:
-            lo = u
-        else:
-            hi = u
-        fp = -float(np.sum(1.0 / (u + d) ** 2))
-        step = u - f / fp
-        u = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * hi:
-            break
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            f = float(np.sum(1.0 / (u + d))) - phi
+            if abs(f) <= tol.phi * phi:
+                break
+            if f > 0.0:
+                lo = u
+            else:
+                hi = u
+            fp = -float(np.sum(1.0 / (u + d) ** 2))
+            # (u + d)**2 may overflow, leaving fp = -0.0: then bisect
+            step = u - f / fp if fp else lo
+            u = step if lo < step < hi else 0.5 * (lo + hi)
+            if hi - lo <= 1e-16 * hi:
+                break
     return max_root(p) + u
 
 
@@ -235,11 +246,8 @@ def derivative_roots(p: RealRootedPoly, tol: Tolerances = DEFAULT) -> RealRooted
 
 def nth_derivative_roots(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> RealRootedPoly:
     """Roots of the k-th derivative, 0 <= k <= degree - 1."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InputError("derivative order must be an integer")
-    if k < 0 or k > p.degree - 1:
-        raise DerivativeOrderTooLarge(f"order {k} outside [0, {p.degree - 1}]")
+    k = _check_count(k, 0, p.degree - 1, DerivativeOrderTooLarge, "derivative order")
     q = p
-    for _ in range(int(k)):
+    for _ in range(k):
         q = derivative_roots(q, tol)
     return q

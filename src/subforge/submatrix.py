@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .barrier import (
-    BoundReport,
     SpectralProfile,
     bt_bound,
     mrr_optimal_barrier,
@@ -37,7 +34,6 @@ from .errors import (
     DeltaRange,
     InputError,
     KOutOfRange,
-    NonPositivePhi,
     NotHermitian,
     NotPositiveContraction,
     SizeTooLarge,
@@ -47,6 +43,8 @@ from .errors import (
 from .oracle import charpoly_coeffs_unchecked, derivative_coeffs
 from .realroot import (
     RealRootedPoly,
+    _check_count,
+    _check_phi,
     _smax_batch,
     derivative_roots_batch,
     max_root,
@@ -171,22 +169,11 @@ def thompson_residual(a: HermitianMatrix) -> float:
 
 def _candidate_eigs(entries: np.ndarray, live: list[int]) -> np.ndarray:
     """Eigenvalue rows for every defect-1 candidate of the live submatrix."""
-    m = len(live)
     idx = np.asarray(live)
-    out = np.empty((m, m - 1))
-
-    def solve(t: int) -> np.ndarray:
+    out = np.empty((len(live), len(live) - 1))
+    for t in range(len(live)):
         keep = np.delete(idx, t)
-        return _eigs(entries[np.ix_(keep, keep)])
-
-    workers = config.worker_count()
-    if workers > 1 and m > 2:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(solve, range(m)))
-    else:
-        rows = [solve(t) for t in range(m)]
-    for t, r in enumerate(rows):
-        out[t] = r
+        out[t] = _eigs(entries[np.ix_(keep, keep)])
     return out
 
 
@@ -195,12 +182,35 @@ def _pick(scores, live: list[int]) -> int:
     return min(range(len(live)), key=lambda t: (float(scores[t]), live[t]))
 
 
-def _check_keep(n: int, k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise KOutOfRange("subset size must be an integer")
-    if not 1 <= k <= n - 1:
-        raise KOutOfRange(f"subset size {k} outside [1, {n - 1}]")
-    return int(k)
+def _greedy(entries: np.ndarray, keep: int, score) -> tuple[list[int], list[int]]:
+    """The defect-1 greedy shared by every selector.
+
+    Each round `score` maps the (m, m - 1) eigenvalue rows of the m candidates
+    to one score per candidate, and the candidate with the smallest score
+    loses its index.  Returns the kept indices and the removal order.
+    """
+    live = list(range(entries.shape[0]))
+    trace: list[int] = []
+    while len(live) > keep:
+        scores = score(_candidate_eigs(entries, live))
+        trace.append(live.pop(_pick(scores, live)))
+    return live, trace
+
+
+def _certify(a: HermitianMatrix, live: list[int], trace, bound: float,
+             mode: SelectionMode, phi: float | None = None) -> SelectionCertificate:
+    """Certificate for the kept block of `a`, with the extreme eigenvalue the
+    mode's bound speaks about: the smallest for invertibility, the larger
+    modulus for two-sided, the largest otherwise."""
+    ev = _eigs(a.entries[np.ix_(live, live)])
+    if mode is SelectionMode.INVERTIBILITY:
+        achieved = ev[0]
+    elif mode is SelectionMode.TWO_SIDED:
+        achieved = max(abs(ev[0]), abs(ev[-1]))
+    else:
+        achieved = ev[-1]
+    return SelectionCertificate(tuple(live), float(achieved), float(bound),
+                                mode, phi, tuple(trace))
 
 
 def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT) -> SelectionCertificate:
@@ -213,29 +223,16 @@ def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT)
     max root of the (n - k)-th derivative of the full charpoly.
     """
     n = a.n
-    k = _check_keep(n, k)
+    k = _check_count(k, 1, n - 1, KOutOfRange, "subset size")
     bound = max_root(nth_derivative_roots(charpoly_as_roots(a), n - k, tol))
-    live = list(range(n))
-    trace: list[int] = []
-    while len(live) > k:
-        rows = np.sort(_candidate_eigs(a.entries, live), axis=1)
-        for _ in range(len(live) - 1 - k):
+
+    def score(rows: np.ndarray) -> np.ndarray:
+        for _ in range(rows.shape[1] - k):
             rows = derivative_roots_batch(rows, tol)
-        trace.append(live.pop(_pick(rows[:, -1], live)))
-    achieved = float(_eigs(a.entries[np.ix_(live, live)])[-1])
-    return SelectionCertificate(tuple(live), achieved, float(bound),
-                                SelectionMode.MAXROOT_GREEDY, None, tuple(trace))
+        return rows[:, -1]
 
-
-def _smax_greedy_core(entries: np.ndarray, k: int, phi: float) -> tuple[list[int], list[int]]:
-    n = entries.shape[0]
-    live = list(range(n))
-    trace: list[int] = []
-    while len(live) > k:
-        eig_rows = _candidate_eigs(entries, live)
-        scores = _smax_batch(eig_rows, phi)
-        trace.append(live.pop(_pick(scores, live)))
-    return live, trace
+    live, trace = _greedy(a.entries, k, score)
+    return _certify(a, live, trace, bound, SelectionMode.MAXROOT_GREEDY)
 
 
 def select_smax_greedy(a: HermitianMatrix, k: int, phi: float,
@@ -246,15 +243,12 @@ def select_smax_greedy(a: HermitianMatrix, k: int, phi: float,
     certified bound is smax_phi(charpoly) - (n - k)/phi.
     """
     n = a.n
-    k = _check_keep(n, k)
-    if not (isinstance(phi, (int, float, np.floating)) and np.isfinite(phi) and phi > 0):
-        raise NonPositivePhi(f"phi must be positive and finite, got {phi!r}")
+    k = _check_count(k, 1, n - 1, KOutOfRange, "subset size")
+    _check_phi(phi)
     phi = float(phi)
     bound = smax(charpoly_as_roots(a), phi, tol) - (n - k) / phi
-    live, trace = _smax_greedy_core(a.entries, k, phi)
-    achieved = float(_eigs(a.entries[np.ix_(live, live)])[-1])
-    return SelectionCertificate(tuple(live), achieved, float(bound),
-                                SelectionMode.SMAX_GREEDY, phi, tuple(trace))
+    live, trace = _greedy(a.entries, k, lambda rows: _smax_batch(rows, phi))
+    return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi)
 
 
 def _spectrum_checks(ev: np.ndarray) -> None:
@@ -273,7 +267,7 @@ def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) ->
     barrier optimum supplies both phi and the certified bound.
     """
     n = a.n
-    keep = _check_keep(n, keep)
+    keep = _check_count(keep, 1, n - 1, KOutOfRange, "subset size")
     ev = eigenvalues(a)
     k_d = n - keep
     c_d = k_d / n
@@ -315,16 +309,11 @@ def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) ->
         bound = bound_m if m_entries is a.entries else 2.0 * bound_m - 1.0
         if not isinstance(phi_used, float):
             # degenerate span: any subset achieves the common eigenvalue
-            live = list(range(keep))
-            achieved = float(_eigs(a.entries[np.ix_(live, live)])[-1])
-            return SelectionCertificate(tuple(live), achieved, float(bound),
-                                        SelectionMode.SMAX_GREEDY, None,
-                                        tuple(range(keep, n)))
+            return _certify(a, list(range(keep)), range(keep, n), bound,
+                            SelectionMode.SMAX_GREEDY)
 
-    live, trace = _smax_greedy_core(m_entries, keep, phi_used)
-    achieved = float(_eigs(a.entries[np.ix_(live, live)])[-1])
-    return SelectionCertificate(tuple(live), achieved, float(bound),
-                                SelectionMode.SMAX_GREEDY, float(phi_used), tuple(trace))
+    live, trace = _greedy(m_entries, keep, lambda rows: _smax_batch(rows, phi_used))
+    return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi_used)
 
 
 def select_two_sided(a: HermitianMatrix, c: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:
@@ -355,13 +344,9 @@ def select_two_sided(a: HermitianMatrix, c: float, tol: Tolerances = DEFAULT) ->
     a1 = a.entries[np.ix_(s1, s1)]
     stage2 = select_low_norm(HermitianMatrix(-a1), keep2, tol)
     s2 = [s1[j] for j in stage2.kept_indices]
-
-    final_ev = _eigs(a.entries[np.ix_(s2, s2)])
-    achieved = float(max(abs(final_ev[0]), abs(final_ev[-1])))
     bound = max(stage1.certified_bound, stage2.certified_bound)
-    trace = tuple(stage1.removal_trace) + tuple(s1[j] for j in stage2.removal_trace)
-    return SelectionCertificate(tuple(s2), achieved, float(bound),
-                                SelectionMode.TWO_SIDED, None, trace)
+    trace = stage1.removal_trace + tuple(s1[j] for j in stage2.removal_trace)
+    return _certify(a, s2, trace, bound, SelectionMode.TWO_SIDED)
 
 
 def select_invertible(a: HermitianMatrix, delta: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:
@@ -418,11 +403,9 @@ def select_invertible(a: HermitianMatrix, delta: float, tol: Tolerances = DEFAUL
         if not isinstance(phi_used, float):
             phi_used = float(n)  # degenerate spectrum: any phi works
 
-    live, trace = _smax_greedy_core(m_entries, k, phi_used)
-    achieved = float(_eigs(a.entries[np.ix_(live, live)])[0])
-    bound = bt_bound(tr_a, delta, c_real)
-    return SelectionCertificate(tuple(live), achieved, float(bound),
-                                SelectionMode.INVERTIBILITY, float(phi_used), tuple(trace))
+    live, trace = _greedy(m_entries, k, lambda rows: _smax_batch(rows, phi_used))
+    return _certify(a, live, trace, bt_bound(tr_a, delta, c_real),
+                    SelectionMode.INVERTIBILITY, phi_used)
 
 
 def select_columns(t: RectOperator, delta: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:

@@ -8,12 +8,15 @@ and instance counts are part of the contract; do not loosen them.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import subforge
 from subforge.barrier import optimize_barrier
 from subforge.gausslucas import (
     ComplexPoly,
@@ -278,9 +281,12 @@ def test_criterion_12_deterministic_verification():
     # the full randomized verification suite, run twice in fresh processes,
     # produces byte-identical reports once timings are stripped
     argv = [sys.executable, "-m", "subforge", "verify", "--suite", "all", "--seed", "7"]
+    # the child imports the same subforge as this process
+    path = [str(Path(subforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     runs = []
     for _ in range(2):
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         report.pop("timings")

@@ -60,6 +60,17 @@ def test_select_smax_auto_phi(tmp_path, capsys):
     assert cert["phi_used"] > 0
 
 
+def test_select_smax_extreme_scale(tmp_path, capsys):
+    # at this scale the smax Newton slope underflows to zero; the run must
+    # still finish with a certificate instead of a traceback
+    f = matrix_file(tmp_path, "m.json", np.diag([1e200, 2e200, 3e200]))
+    report = run_report(capsys, ["select", "--matrix", f, "--mode", "smax",
+                                 "--keep", "2", "--phi", "1e-200"])
+    cert = report["outputs"]["certificate"]
+    assert cert["kept_indices"] == [0, 1]
+    assert cert["achieved_extreme"] <= cert["certified_bound"]
+
+
 def test_select_invertible_writes_out(tmp_path, capsys):
     f = matrix_file(tmp_path, "m.json", np.eye(6))
     out = tmp_path / "cert.json"
@@ -189,6 +200,19 @@ def test_gauss_lucas_emit_csv(tmp_path, capsys):
     assert lines[0] == "kind,re,im"
     kinds = {ln.split(",")[0] for ln in lines[1:]}
     assert "root_before" in kinds and "root_after" in kinds and "hull_before" in kinds
+
+
+def test_gauss_lucas_emit_csv_full_derivative_order(tmp_path, capsys):
+    # ceil(0.9 * 4) = 4 derivatives leave a constant: the CSV has no after-roots
+    f = poly_file(tmp_path, "p.json", {"roots": [1.0, -1.0, [0.0, 1.0], [0.0, -1.0]]})
+    csv_path = tmp_path / "roots.csv"
+    report = run_report(capsys, ["gauss-lucas", "--poly", f, "--check", "area",
+                                 "--c", "0.9", "--emit-csv", str(csv_path)])
+    assert report["outputs"]["k"] == 4 and report["outputs"]["ratio"] == 0.0
+    kinds = [ln.split(",")[0] for ln in csv_path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert kinds.count("root_before") == 4
+    assert kinds.count("root_after") == 0
+    assert "hull_after" not in kinds
 
 
 def test_gauss_lucas_roots_for_csv_only_when_asked(tmp_path, capsys, monkeypatch):

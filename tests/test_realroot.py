@@ -73,6 +73,15 @@ def test_smax_phi_validation():
             smax(p, bad)
 
 
+def test_smax_when_newton_slope_overflows():
+    # (u + d)^2 overflows to inf at this scale, so the Newton slope is -0.0;
+    # the solver must bisect instead of dividing by it
+    p = RealRootedPoly((1e200, 2e200, 3e200))
+    b = smax(p, 1e-200)
+    assert 4e200 <= b <= 6e200  # the bracket max_root + [1, degree] / phi
+    assert potential(p, b) == pytest.approx(1e-200, rel=1e-8)
+
+
 def test_smax_decreasing_in_phi():
     rng = np.random.default_rng(17)
     p = RealRootedPoly(tuple(np.sort(rng.normal(0, 1, 9))))

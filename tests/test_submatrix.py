@@ -10,6 +10,7 @@ from subforge.errors import (
     CRangeError,
     DeltaRange,
     KOutOfRange,
+    NonPositivePhi,
     NotHermitian,
     NotPositiveContraction,
     SizeTooLarge,
@@ -174,6 +175,14 @@ def test_smax_greedy_keeps_low_block():
     assert cert.kept_indices == (0, 1)
     assert cert.achieved_extreme == 0.0
     assert cert.achieved_extreme <= cert.certified_bound + 1e-8
+
+
+def test_smax_greedy_phi_validation():
+    # the selector applies the same phi rule as smax itself: True is not a phi
+    a = HermitianMatrix(np.diag([0.0, 1.0, 2.0]))
+    for bad in (True, 0.0, -1.0, np.inf, np.nan, "big"):
+        with pytest.raises(NonPositivePhi):
+            select_smax_greedy(a, 1, bad)
 
 
 def test_smax_greedy_descent():
