@@ -27,13 +27,10 @@ from .config import VERSION
 from .errors import BoundViolation, DegenerateHull, InputError
 from .gausslucas import (
     RootSet,
-    area_bound,
     check_chain,
     check_pereira,
-    complex_roots,
-    derivative,
-    disc_containment,
-    gl_area_ratio,
+    disc_report,
+    gl_area_report,
     hull,
     rr_spread_ratio,
     spread_bound,
@@ -187,16 +184,6 @@ def _cmd_bounds(args):
 
 # ---------------------------------------------------------------- gauss-lucas
 
-def _complex_csv_parts(p, k: int):
-    """Roots and hulls of p and of its k-th derivative, for --emit-csv."""
-    before = complex_roots(p)
-    if k >= p.degree:
-        # the k-th derivative is a nonzero constant: no roots, no hull
-        return before, RootSet((), 0.0), hull(before), None
-    after = complex_roots(derivative(p, k))
-    return before, after, hull(before), hull(after)
-
-
 def _cmd_gauss_lucas(args):
     check = args.check
     c = args.c
@@ -206,15 +193,15 @@ def _cmd_gauss_lucas(args):
     code = 0
     csv_parts = None
     try:
-        if check == "area":
+        if check in ("area", "disc"):
             p = formats.load_poly_complex(args.poly)
-            ratio, bound = gl_area_ratio(p, c)
-            k = math.ceil(c * p.degree)
-            outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
-                       "bound": bound, "bound_realized": area_bound(k / p.degree),
+            r = gl_area_report(p, c) if check == "area" else disc_report(p, c)
+            outputs = {"check": check, "n": p.degree, "k": r.k,
+                       "ratio" if check == "area" else "max_modulus": r.value,
+                       "bound": r.bound, "bound_realized": r.bound_realized,
                        "verdict": "within_bound"}
             if args.emit_csv:
-                csv_parts = _complex_csv_parts(p, k)
+                csv_parts = (r.before, r.after, *(r.hulls or (hull(r.before), hull(r.after))))
         elif check == "spread":
             p = formats.load_poly_real_rooted(args.poly)
             ratio, bound = rr_spread_ratio(p, c)
@@ -227,15 +214,6 @@ def _cmd_gauss_lucas(args):
                 q = nth_derivative_roots(p, k)
                 after = RootSet(tuple(complex(r) for r in q.roots), 0.0)
                 csv_parts = (before, after, None, None)
-        elif check == "disc":
-            p = formats.load_poly_complex(args.poly)
-            maxmod, bound = disc_containment(p, c)
-            k = math.floor(c * p.degree)
-            outputs = {"check": check, "n": p.degree, "k": k, "max_modulus": maxmod,
-                       "bound": bound, "bound_realized": spread_bound(k / p.degree),
-                       "verdict": "within_bound"}
-            if args.emit_csv:
-                csv_parts = _complex_csv_parts(p, k)
         elif check == "chain":
             p = formats.load_poly_complex(args.poly)
             if args.k is not None:

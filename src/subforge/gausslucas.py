@@ -83,6 +83,21 @@ class HullReport:
         return max((abs(a - b) for a in vs for b in vs), default=0.0)
 
 
+@dataclass(frozen=True)
+class ContractionReport:
+    """An area or disc check: the value after k derivatives, its guarantees at
+    the input c and at k/n, the root sets (`after` is empty when k = n), and
+    their hulls (None for an empty set) when the check needed them."""
+
+    k: int
+    value: float
+    bound: float
+    bound_realized: float
+    before: RootSet
+    after: RootSet
+    hulls: tuple[HullReport, HullReport | None] | None = None
+
+
 def derivative(p: ComplexPoly, k: int = 1) -> ComplexPoly:
     """k-fold coefficient derivative (exact integer scaling)."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
@@ -99,12 +114,24 @@ def derivative(p: ComplexPoly, k: int = 1) -> ComplexPoly:
     return ComplexPoly(tuple(c))
 
 
-def _residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _horner(cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows p, p', coeffs at z and |coeffs| at |z| of `cols` ((n+1, 4, 1), highest
+    power first) in one Horner loop, each with np.polyval's operations."""
+    x = np.vstack([z, z, z, np.abs(z)])
+    y = np.zeros_like(x)
+    for c in cols:
+        y *= x
+        y += c
+    if not np.all(np.isfinite(y[3])):
+        # after an overflow, complex inf*0 makes NaN where a real row stays inf
+        y[3] = np.polyval(cols[:, 3, 0].real, x[3].real)
+    return y
+
+
+def _residuals(y: np.ndarray) -> np.ndarray:
     # scale by sum_j |c_j||z|^j, the conditioning of evaluation at z; a flat
     # max|c_j| scale is vacuous when derivative coefficients span many orders
-    scale = np.polyval(np.abs(coeffs[::-1]), np.abs(z))
-    vals = np.polyval(coeffs[::-1], z)
-    return np.abs(vals) / np.maximum(scale, 1e-300)
+    return np.abs(y[2]) / np.maximum(y[3].real, 1e-300)
 
 
 def complex_roots(p: ComplexPoly) -> RootSet:
@@ -120,12 +147,16 @@ def complex_roots(p: ComplexPoly) -> RootSet:
         raise DegreeTooSmall("need degree >= 1 to extract roots")
     coeffs = np.asarray(p.coeffs, dtype=complex)
     n = p.degree
-    if n == 1:
-        z = np.array([-coeffs[0] / coeffs[1]])
-        return RootSet(tuple(z), float(_residuals(coeffs, z)[0]))
-
     monic = coeffs / coeffs[-1]
     dmonic = monic[1:] * np.arange(1, n + 1)
+    # p' gets an exact zero leading coefficient; |.| is taken of the reversed
+    # view, as np.abs rounds strided and contiguous complex arrays differently
+    rev = coeffs[::-1]
+    cols = np.stack([monic[::-1], np.append(0, dmonic[::-1]), rev, np.abs(rev)], axis=1)[:, :, None]
+    if n == 1:
+        z = np.array([-coeffs[0] / coeffs[1]])
+        return RootSet(tuple(z), float(_residuals(_horner(cols, z))[0]))
+
     center = -monic[-2] / n
     fuji = 2.0 * max(abs(monic[n - i]) ** (1.0 / i) for i in range(1, n + 1))
     radius = max(fuji + abs(center), 1e-3)
@@ -135,37 +166,35 @@ def complex_roots(p: ComplexPoly) -> RootSet:
     angles = angles + (0.37 * 2.0 * np.pi / n) * rng.uniform(-0.5, 0.5, n)
     z = center + radius * np.exp(1j * angles)
 
-    ok = False
+    y = _horner(cols, z)
     for _ in range(_ABERTH_SWEEPS):
-        pv = np.polyval(monic[::-1], z)
-        dv = np.polyval(dmonic[::-1], z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
+        w = y[0] / np.where(y[1] == 0, 1e-300, y[1])
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         s = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
         z = z - w / denom
-        if np.max(_residuals(coeffs, z)) <= _RESIDUAL_TOL:
-            ok = True
+        y = _horner(cols, z)
+        res = _residuals(y)
+        if np.max(res) <= _RESIDUAL_TOL:
             break
-    if not ok and np.max(_residuals(coeffs, z)) > _RESIDUAL_TOL:
+    if np.max(res) > _RESIDUAL_TOL:  # false for NaN: a NaN residual is not raised
         raise RootConvergenceFailure(
-            f"residual {np.max(_residuals(coeffs, z)):.3e} after {_ABERTH_SWEEPS} sweeps")
+            f"residual {np.max(res):.3e} after {_ABERTH_SWEEPS} sweeps")
 
     # Newton polish, kept only when it helps (it stalls at multiple roots)
     for _ in range(3):
-        pv = np.polyval(monic[::-1], z)
-        dv = np.polyval(dmonic[::-1], z)
+        pv, dv = y[0], y[1]
         safe = np.abs(dv) > 1e-300
         cand = np.where(safe, z - np.where(safe, pv / np.where(safe, dv, 1.0), 0.0), z)
-        better = _residuals(coeffs, cand) <= _residuals(coeffs, z)
+        y_cand = _horner(cols, cand)
+        better = _residuals(y_cand) <= _residuals(y)
         z = np.where(better, cand, z)
+        y = np.where(better, y_cand, y)
 
     order = np.lexsort((z.imag, z.real))
-    z = z[order]
-    return RootSet(tuple(complex(v) for v in z), float(np.max(_residuals(coeffs, z))))
+    return RootSet(tuple(complex(v) for v in z[order]), float(np.max(_residuals(y))))
 
 
 def real_part_poly(p: ComplexPoly) -> RealRootedPoly:
@@ -304,30 +333,36 @@ def spread_bound(c: float) -> float:
     return zd1_bound(c) if c >= 0.5 else 1.0
 
 
-def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
+def gl_area_report(p: ComplexPoly, c: float) -> ContractionReport:
     """Hull-area contraction after ceil(c*n) derivatives, with its 4(c - c^2) bound.
 
-    Returns (ratio, bound at the input c); the realized derivative fraction
-    ceil(c*n)/n is at least c, so the input-c bound is the weaker, safe claim.
+    The bound is at the input c; the realized derivative fraction ceil(c*n)/n
+    is at least c, so the input-c bound is the weaker, safe claim.
     """
     n = p.degree
     if n < 4:
         raise DegreeTooSmall("need degree >= 4")
     if not 0.5 <= c < 1.0:
         raise CRangeError(f"c = {c} outside [1/2, 1)")
-    h0 = hull(complex_roots(p))
+    before = complex_roots(p)
+    h0 = hull(before)
     if h0.degenerate or h0.area <= 1e-10 * h0.span**2:
         raise DegenerateHull("initial root hull is degenerate")
     k = math.ceil(c * n)
-    if k >= n:
-        # the k-th derivative is a nonzero constant: empty root set, area 0
-        return 0.0, area_bound(c)
-    hk = hull(complex_roots(derivative(p, k)))
-    ratio = hk.area / h0.area
     guaranteed = area_bound(k / n)
+    # at k = n the derivative is a nonzero constant: empty root set, area 0
+    after = complex_roots(derivative(p, k)) if k < n else RootSet((), 0.0)
+    hk = hull(after) if k < n else None
+    ratio = hk.area / h0.area if k < n else 0.0
     if ratio > guaranteed + 1e-6:
         raise BoundViolation(f"area ratio {ratio} exceeds guaranteed {guaranteed}")
-    return ratio, area_bound(c)
+    return ContractionReport(k, ratio, area_bound(c), guaranteed, before, after, (h0, hk))
+
+
+def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
+    """(ratio, bound at the input c) of `gl_area_report`."""
+    r = gl_area_report(p, c)
+    return r.value, r.bound
 
 
 def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
@@ -353,7 +388,7 @@ def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
     return ratio, spread_bound(c)
 
 
-def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
+def disc_report(p: ComplexPoly, c: float) -> ContractionReport:
     """Max root modulus after floor(c*n) derivatives for unit-disc, zero-mean roots."""
     n = p.degree
     if n < 2:
@@ -372,7 +407,13 @@ def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
     guaranteed = spread_bound(k / n)
     if maxmod > guaranteed + 1e-6:
         raise BoundViolation(f"max modulus {maxmod} exceeds guaranteed {guaranteed}")
-    return maxmod, spread_bound(c)
+    return ContractionReport(k, maxmod, spread_bound(c), guaranteed, rs, dk)
+
+
+def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
+    """(max modulus, bound at the input c) of `disc_report`."""
+    r = disc_report(p, c)
+    return r.value, r.bound
 
 
 def sharpness_experiment(m: int, c: float) -> float:

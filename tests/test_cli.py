@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, digests, determinism."""
 
+import csv
 import json
 import math
 
@@ -215,23 +216,54 @@ def test_gauss_lucas_emit_csv_full_derivative_order(tmp_path, capsys):
     assert "hull_after" not in kinds
 
 
-def test_gauss_lucas_roots_for_csv_only_when_asked(tmp_path, capsys, monkeypatch):
-    # the CLI's own complex_roots calls feed the CSV alone; without
-    # --emit-csv they are skipped and the report is the same
-    import subforge.cli as cli
+_ZERO_MEAN_ROOTS = [[0.5, 0.1], [-0.4, 0.3], [0.1, -0.6], [-0.2, 0.2]]
 
-    f = poly_file(tmp_path, "p.json", {"roots": [[0.5, 0.1], [-0.4, 0.3], [0.1, -0.6],
-                                                 [-0.2, 0.2]]})
+
+def test_gauss_lucas_roots_for_csv_only_when_asked(tmp_path, capsys, monkeypatch):
+    # area and disc find the roots of p and of its k-th derivative once each,
+    # and --emit-csv writes those same root sets: two calls either way, and
+    # the report does not depend on the flag
+    import subforge.cli as cli
+    import subforge.gausslucas as gl
+
+    assert "complex_roots" not in vars(cli)  # every root-find is counted below
+    f = poly_file(tmp_path, "p.json", {"roots": _ZERO_MEAN_ROOTS})
+    real = gl.complex_roots
     for check in ("area", "disc"):
         argv = ["gauss-lucas", "--poly", f, "--check", check, "--c", "0.5"]
-        with_csv = run_report(capsys, argv + ["--emit-csv", str(tmp_path / "r.csv")])
-        calls = []
-        real = cli.complex_roots
-        monkeypatch.setattr(cli, "complex_roots", lambda p: calls.append(p) or real(p))
-        plain = run_report(capsys, argv)
-        monkeypatch.setattr(cli, "complex_roots", real)
-        assert calls == []
-        assert plain["outputs"] == with_csv["outputs"]
+        outputs = []
+        for extra in ([], ["--emit-csv", str(tmp_path / "r.csv")]):
+            calls = []
+            monkeypatch.setattr(gl, "complex_roots", lambda p, calls=calls: calls.append(p) or real(p))
+            outputs.append(run_report(capsys, argv + extra)["outputs"])
+            monkeypatch.setattr(gl, "complex_roots", real)
+            assert len(calls) == 2
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("check, c", [("area", 0.5), ("area", 0.9), ("disc", 0.5),
+                                      ("disc", 0.75)])
+def test_gauss_lucas_csv_rows_are_the_checks_root_sets(tmp_path, capsys, check, c):
+    # rows are repr of complex_roots(p), complex_roots(D^k p) and their hulls;
+    # area at c = 0.9 takes all 4 derivatives and has no after-set or after-hull
+    from subforge.formats import load_poly_complex
+    from subforge.gausslucas import complex_roots, derivative, hull
+
+    f = poly_file(tmp_path, "p.json", {"roots": _ZERO_MEAN_ROOTS})
+    csv_path = tmp_path / "roots.csv"
+    out = run_report(capsys, ["gauss-lucas", "--poly", f, "--check", check, "--c", str(c),
+                              "--emit-csv", str(csv_path)])["outputs"]
+    k = math.ceil(c * 4) if check == "area" else math.floor(c * 4)
+    assert out["k"] == k
+    p = load_poly_complex(f)
+    before = complex_roots(p)
+    after = complex_roots(derivative(p, k)).points if k < 4 else ()
+    groups = [("root_before", before.points), ("root_after", after),
+              ("hull_before", hull(before).hull_vertices),
+              ("hull_after", hull(after).hull_vertices if after else ())]
+    want = [[kind, repr(z.real), repr(z.imag)] for kind, pts in groups for z in pts]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["kind", "re", "im"]] + want
 
 
 def test_gauss_lucas_argument_errors(tmp_path, capsys):

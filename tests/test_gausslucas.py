@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subforge.errors import (
     BoundViolation,
@@ -11,6 +13,7 @@ from subforge.errors import (
     DegenerateHull,
     DegreeTooSmall,
     InputError,
+    RootConvergenceFailure,
     SpectrumOutOfRange,
 )
 from subforge.gausslucas import (
@@ -105,6 +108,120 @@ def test_complex_roots_random_reconstruction():
         got = sorted(rs.points, key=lambda z: (z.real, z.imag))
         want = sorted(zs, key=lambda z: (z.real, z.imag))
         assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-6
+
+
+def _reference_residuals(coeffs, z):
+    scale = np.polyval(np.abs(coeffs[::-1]), np.abs(z))
+    vals = np.polyval(coeffs[::-1], z)
+    return np.abs(vals) / np.maximum(scale, 1e-300)
+
+
+def _reference_complex_roots(p):
+    """Aberth sweeps and Newton polish with four np.polyval calls per sweep:
+    the loop that complex_roots must reproduce bit for bit."""
+    coeffs = np.asarray(p.coeffs, dtype=complex)
+    n = p.degree
+    if n == 1:
+        z = np.array([-coeffs[0] / coeffs[1]])
+        return RootSet(tuple(z), float(_reference_residuals(coeffs, z)[0]))
+    monic = coeffs / coeffs[-1]
+    dmonic = monic[1:] * np.arange(1, n + 1)
+    center = -monic[-2] / n
+    fuji = 2.0 * max(abs(monic[n - i]) ** (1.0 / i) for i in range(1, n + 1))
+    radius = max(fuji + abs(center), 1e-3)
+    rng = np.random.default_rng(781143)
+    angles = 2.0 * np.pi * (np.arange(n) + 0.123) / n
+    angles = angles + (0.37 * 2.0 * np.pi / n) * rng.uniform(-0.5, 0.5, n)
+    z = center + radius * np.exp(1j * angles)
+    ok = False
+    for _ in range(500):
+        pv = np.polyval(monic[::-1], z)
+        dv = np.polyval(dmonic[::-1], z)
+        dv = np.where(dv == 0, 1e-300, dv)
+        w = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - w * s
+        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        z = z - w / denom
+        if np.max(_reference_residuals(coeffs, z)) <= 1e-9:
+            ok = True
+            break
+    if not ok and np.max(_reference_residuals(coeffs, z)) > 1e-9:
+        raise RootConvergenceFailure(
+            f"residual {np.max(_reference_residuals(coeffs, z)):.3e} after 500 sweeps")
+    for _ in range(3):
+        pv = np.polyval(monic[::-1], z)
+        dv = np.polyval(dmonic[::-1], z)
+        safe = np.abs(dv) > 1e-300
+        cand = np.where(safe, z - np.where(safe, pv / np.where(safe, dv, 1.0), 0.0), z)
+        better = _reference_residuals(coeffs, cand) <= _reference_residuals(coeffs, z)
+        z = np.where(better, cand, z)
+    z = z[np.lexsort((z.imag, z.real))]
+    return RootSet(tuple(complex(v) for v in z),
+                   float(np.max(_reference_residuals(coeffs, z))))
+
+
+def _hexes(rs):
+    return [(z.real.hex(), z.imag.hex()) for z in rs.points], rs.residual.hex()
+
+
+def _assert_matches_reference(p):
+    try:
+        want = _reference_complex_roots(p)
+    except RootConvergenceFailure as exc:
+        with pytest.raises(RootConvergenceFailure) as got:
+            complex_roots(p)
+        assert str(got.value) == str(exc)
+        return
+    assert _hexes(complex_roots(p)) == _hexes(want)
+
+
+@st.composite
+def _aberth_polys(draw):
+    """Degree 1-100: unit-disc roots, an m-fold root (z-a)^m among them, or
+    (z^3-1)^m; coefficients scaled by 1e-100..1e100."""
+    scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+    kind = draw(st.sampled_from(("disc", "power", "cube")))
+    if kind == "cube":
+        return ComplexPoly(tuple(scale * c for c in cube_roots_poly(draw(st.integers(1, 33))).coeffs))
+    n = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    if kind == "power":
+        roots[:draw(st.integers(1, n))] = roots[0]
+    return ComplexPoly(tuple(scale * pc.polyfromroots(roots)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_aberth_polys())
+def test_complex_roots_matches_reference(p):
+    _assert_matches_reference(p)
+
+
+def _disc_poly(radius, n, scale=1.0, seed=3):
+    rng = np.random.default_rng(seed)
+    roots = radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    return ComplexPoly(tuple(scale * pc.polyfromroots(roots)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [
+    # z^20 + 1e100 z^5 and z^8 + 1e200 z^2 stall: RootConvergenceFailure
+    ComplexPoly(tuple([0.0] * 5 + [1e100] + [0.0] * 14 + [1.0])),
+    ComplexPoly((0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)),
+    # radius 10, degree 100, scale 1e100: the residual's scale sum overflows
+    # on the early sweeps, yet the roots converge
+    _disc_poly(10.0, 100, 1e100),
+    # radius 100, degree 100: p overflows at the start and every sweep is NaN
+    _disc_poly(100.0, 100),
+    # 1e170 z^4 (z - 1e57) stalls with the scale sum overflowing mid-loop,
+    # where complex inf*0 would give NaN and let it through unraised
+    ComplexPoly(tuple(1e170 * pc.polyfromroots([0.0, 0.0, 0.0, 0.0, 1e57]))),
+])
+def test_complex_roots_matches_reference_at_extremes(p):
+    _assert_matches_reference(p)
 
 
 def test_real_part_poly():
