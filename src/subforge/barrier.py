@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     BarrierNotRightOfOne,
     CRangeError,
@@ -22,7 +21,8 @@ from .errors import (
     InputError,
     KOutOfRange,
 )
-from .realroot import PHI_INFINITY, RealRootedPoly, _check_count, _PhiInfinity, max_root, smax
+from .realroot import (PHI_INFINITY, RealRootedPoly, _CLUSTER_TOL, _check_count, _PhiInfinity,
+                       max_root, smax)
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,15 @@ class BoundReport:
     formula_id: str
 
 
-def barrier_bound(p: RealRootedPoly, k: int, phi, tol: Tolerances = DEFAULT) -> float:
+def barrier_bound(p: RealRootedPoly, k: int, phi) -> float:
     """smax_phi(p) - k/phi; certified upper bound on the k-th derivative's max root."""
     k = _check_count(k, 0, p.degree - 1, KOutOfRange, "derivative count")
     if phi is PHI_INFINITY:
         return max_root(p)
-    return smax(p, phi, tol) - k / phi
+    return smax(p, phi) - k / phi
 
 
-def optimize_barrier(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> BoundReport:
+def optimize_barrier(p: RealRootedPoly, k: int) -> BoundReport:
     """Minimise phi -> smax_phi(p) - k/phi.
 
     Coarse log-spaced scan to bracket the minimum (the objective is unimodal
@@ -69,7 +69,7 @@ def optimize_barrier(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> Bo
     k = _check_count(k, 0, p.degree - 1, KOutOfRange, "derivative count")
     roots = p.as_array()
     span = float(roots[-1] - roots[0])
-    if span <= tol.cluster * max(1.0, abs(roots[-1])):
+    if span <= _CLUSTER_TOL * max(1.0, abs(roots[-1])):
         # all roots identical: every derivative keeps the same single root
         common = max_root(p)
         return BoundReport(bound=common, optimal_b=common, optimal_phi=PHI_INFINITY,
@@ -81,7 +81,7 @@ def optimize_barrier(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> Bo
 
     def g(logphi: float) -> float:
         phi = math.exp(logphi)
-        return smax(p, phi, tol) - k / phi
+        return smax(p, phi) - k / phi
 
     grid = np.linspace(lo, hi, 64)
     vals = [g(t) for t in grid]
@@ -106,7 +106,7 @@ def optimize_barrier(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> Bo
             f2 = g(c2)
     logphi = c1 if f1 <= f2 else c2
     phi = math.exp(logphi)
-    opt_b = smax(p, phi, tol)
+    opt_b = smax(p, phi)
     return BoundReport(bound=opt_b - k / phi, optimal_b=opt_b, optimal_phi=phi,
                        formula_id="barrier_numeric")
 

@@ -8,7 +8,8 @@ randomized soundness suites with a fixed seed.
 Every run prints one JSON report to stdout with a sha256 digest of the
 inputs; reports are byte-identical across repeat runs except for the
 timings block.  Exit codes: 0 success, 2 invalid input, 3 violated bound
-or failed check.
+or failed check, 4 a numerical solver did not converge.  A run that raises
+prints one JSON error object to stderr instead of the report.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ import numpy as np
 
 from . import barrier, formats
 from .config import VERSION
-from .errors import BoundViolation, DegenerateHull, InputError
+from .errors import BoundViolation, DegenerateHull, InputError, SubforgeError
 from .gausslucas import (
-    RootSet,
     check_chain,
     check_pereira,
     disc_report,
     gl_area_report,
     hull,
-    rr_spread_ratio,
-    spread_bound,
+    rr_spread_report,
 )
 from .realroot import PHI_INFINITY, RealRootedPoly, derivative_roots, nth_derivative_roots, smax
 from .submatrix import (
@@ -43,9 +42,8 @@ from .submatrix import (
     select_maxroot_greedy,
     select_smax_greedy,
     select_two_sided,
-    thompson_residual,
 )
-from .oracle import brute_force_best_subset
+from .oracle import brute_force_best_subset, thompson_residual
 
 
 def _digest(params: dict, file_paths) -> str:
@@ -193,47 +191,32 @@ def _cmd_gauss_lucas(args):
     code = 0
     csv_parts = None
     try:
-        if check in ("area", "disc"):
-            p = formats.load_poly_complex(args.poly)
-            r = gl_area_report(p, c) if check == "area" else disc_report(p, c)
+        if check in ("area", "spread", "disc"):
+            if check == "spread":
+                p = formats.load_poly_real_rooted(args.poly)
+                r = rr_spread_report(p, c)
+            else:
+                p = formats.load_poly_complex(args.poly)
+                r = gl_area_report(p, c) if check == "area" else disc_report(p, c)
             outputs = {"check": check, "n": p.degree, "k": r.k,
-                       "ratio" if check == "area" else "max_modulus": r.value,
+                       "max_modulus" if check == "disc" else "ratio": r.value,
                        "bound": r.bound, "bound_realized": r.bound_realized,
                        "verdict": "within_bound"}
             if args.emit_csv:
                 csv_parts = (r.before, r.after, *(r.hulls or (hull(r.before), hull(r.after))))
-        elif check == "spread":
-            p = formats.load_poly_real_rooted(args.poly)
-            ratio, bound = rr_spread_ratio(p, c)
-            k = math.floor(c * p.degree)
-            outputs = {"check": check, "n": p.degree, "k": k, "ratio": ratio,
-                       "bound": bound, "bound_realized": spread_bound(k / p.degree),
-                       "verdict": "within_bound"}
-            if args.emit_csv:
-                before = RootSet(tuple(complex(r) for r in p.roots), 0.0)
-                q = nth_derivative_roots(p, k)
-                after = RootSet(tuple(complex(r) for r in q.roots), 0.0)
-                csv_parts = (before, after, None, None)
-        elif check == "chain":
-            p = formats.load_poly_complex(args.poly)
-            if args.k is not None:
-                k = args.k
-            else:
-                _require(c is not None, "chain needs --k or --c")
-                k = math.floor(c * p.degree)
-            holds = check_chain(p, k)
-            outputs = {"check": check, "n": p.degree, "k": k, "holds": holds,
-                       "verdict": "within_bound" if holds else "violated"}
-            code = 0 if holds else 3
         else:
             p = formats.load_poly_complex(args.poly)
-            holds = check_pereira(p)
-            outputs = {"check": check, "n": p.degree, "holds": holds,
-                       "verdict": "within_bound" if holds else "violated"}
+            outputs = {"check": check, "n": p.degree}
+            if check == "chain":
+                _require(args.k is not None or c is not None, "chain needs --k or --c")
+                outputs["k"] = k = args.k if args.k is not None else math.floor(c * p.degree)
+                holds = check_chain(p, k)
+            else:
+                holds = check_pereira(p)
+            outputs.update(holds=holds, verdict="within_bound" if holds else "violated")
             code = 0 if holds else 3
     except DegenerateHull as exc:
         outputs = {"check": check, "verdict": "not_applicable", "reason": str(exc)}
-        csv_parts = None
 
     if args.emit_csv:
         _require(check in ("area", "spread", "disc"),
@@ -397,14 +380,11 @@ def main(argv=None) -> int:
     try:
         outputs, files, params, code = args.func(args)
         digest = _digest({"command": args.command, **params}, files)
-    except InputError as exc:
+    except SubforgeError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
-    except BoundViolation as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        # any other package error is a solver that did not converge
+        return 2 if isinstance(exc, InputError) else 3 if isinstance(exc, BoundViolation) else 4
     report = {
         "command": args.command,
         "inputs_digest": digest,

@@ -2,8 +2,8 @@
 
 Input validation failures subclass InputError; a certificate whose claimed
 inequality fails numerical re-checking raises CertificateViolation.  The CLI
-maps InputError to exit code 2 and CertificateViolation / BoundViolation to
-exit code 3.
+maps InputError to exit code 2, CertificateViolation / BoundViolation to exit
+code 3, and every other SubforgeError (a solver that did not converge) to 4.
 """
 
 

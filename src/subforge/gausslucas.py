@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     BoundViolation,
     CRangeError,
@@ -85,9 +84,10 @@ class HullReport:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """An area or disc check: the value after k derivatives, its guarantees at
-    the input c and at k/n, the root sets (`after` is empty when k = n), and
-    their hulls (None for an empty set) when the check needed them."""
+    """An area, spread or disc check: the value after k derivatives, its
+    guarantees at the input c and at k/n, the root sets (`after` is empty when
+    k = n), and their hulls when the check needed them (None for an empty or
+    real root set)."""
 
     k: int
     value: float
@@ -95,7 +95,7 @@ class ContractionReport:
     bound_realized: float
     before: RootSet
     after: RootSet
-    hulls: tuple[HullReport, HullReport | None] | None = None
+    hulls: tuple[HullReport | None, HullReport | None] | None = None
 
 
 def derivative(p: ComplexPoly, k: int = 1) -> ComplexPoly:
@@ -179,7 +179,7 @@ def complex_roots(p: ComplexPoly) -> RootSet:
         res = _residuals(y)
         if np.max(res) <= _RESIDUAL_TOL:
             break
-    if np.max(res) > _RESIDUAL_TOL:  # false for NaN: a NaN residual is not raised
+    if not np.max(res) <= _RESIDUAL_TOL:  # also raises on a NaN residual
         raise RootConvergenceFailure(
             f"residual {np.max(res):.3e} after {_ABERTH_SWEEPS} sweeps")
 
@@ -203,7 +203,10 @@ def real_part_poly(p: ComplexPoly) -> RealRootedPoly:
     return RealRootedPoly(tuple(v.real for v in rs.points))
 
 
-def majorizes(mu, lam, tol: Tolerances = DEFAULT) -> bool:
+_MAJORIZATION_SLACK = 1e-8  # prefix-sum slack, relative to max(1, max |entry|)
+
+
+def majorizes(mu, lam) -> bool:
     """True when lam majorizes mu: descending prefix sums of mu never exceed
     lam's, and the totals agree.  Comparison slack is 1e-8 * max(1, scale)."""
     mu = np.sort(np.asarray(mu, dtype=float))[::-1]
@@ -212,7 +215,7 @@ def majorizes(mu, lam, tol: Tolerances = DEFAULT) -> bool:
         raise InputError("sequences must have equal length")
     scale = max(1.0, float(np.max(np.abs(mu), initial=0.0)),
                 float(np.max(np.abs(lam), initial=0.0)))
-    slack = tol.certificate * scale
+    slack = _MAJORIZATION_SLACK * scale
     pm, pl = np.cumsum(mu), np.cumsum(lam)
     if np.any(pm[:-1] > pl[:-1] + slack):
         return False
@@ -365,12 +368,13 @@ def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
     return r.value, r.bound
 
 
-def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
+def rr_spread_report(p: RealRootedPoly, c: float) -> ContractionReport:
     """Root-spread contraction after floor(c*n) derivatives vs 2*sqrt(c - c^2).
 
-    The bound returned is at the input c; the violation guard uses the
-    realized fraction floor(c*n)/n, which is the direction the theorem
-    actually covers (and the trivial factor 1 when rounding lands below 1/2).
+    The bound is at the input c; the violation guard uses the realized
+    fraction floor(c*n)/n, which is the direction the theorem actually covers
+    (and the trivial factor 1 when rounding lands below 1/2).  The root sets
+    are real, so the report carries no hulls.
     """
     n = p.degree
     if not 0.5 <= c < 1.0:
@@ -385,7 +389,14 @@ def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
     guaranteed = spread_bound(k / n)
     if ratio > guaranteed + 1e-8:
         raise BoundViolation(f"spread ratio {ratio} exceeds guaranteed {guaranteed}")
-    return ratio, spread_bound(c)
+    before, after = (RootSet(tuple(complex(r) for r in poly.roots), 0.0) for poly in (p, q))
+    return ContractionReport(k, ratio, spread_bound(c), guaranteed, before, after, (None, None))
+
+
+def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
+    """(ratio, bound at the input c) of `rr_spread_report`."""
+    r = rr_spread_report(p, c)
+    return r.value, r.bound
 
 
 def disc_report(p: ComplexPoly, c: float) -> ContractionReport:

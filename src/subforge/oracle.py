@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import OracleFailure, SizeTooLarge, InputError, BarrierNotRightOfOne
+
+if TYPE_CHECKING:  # annotation only: submatrix must not be a run-time dependency
+    from .submatrix import HermitianMatrix
 
 # Faddeev-LeVerrier is numerically trustworthy well past this, but the oracle
 # contract promises hand-checkable sizes.
@@ -107,6 +111,28 @@ def derivative_coeffs(p: CoeffPoly, k: int = 1) -> CoeffPoly:
     if not c:
         c = [0.0]
     return CoeffPoly(tuple(c))
+
+
+def thompson_residual(a: HermitianMatrix) -> float:
+    """Coefficient residual of: sum of defect-1 charpolys = (charpoly)'.
+
+    Both sides expanded by the coefficient recurrence; returns the max
+    coefficient deviation normalized by the largest derivative coefficient.
+    """
+    n = a.n
+    if n > 64:
+        raise SizeTooLarge("thompson residual limited to n <= 64")
+    if n < 2:
+        raise InputError("need n >= 2")
+    full = charpoly_coeffs_unchecked(a.entries)
+    target = np.asarray(derivative_coeffs(full, 1).coeffs)
+    total = np.zeros(n)
+    for i in range(n):
+        idx = [j for j in range(n) if j != i]
+        sub = a.entries[np.ix_(idx, idx)]
+        total += np.asarray(charpoly_coeffs_unchecked(sub).coeffs)
+    scale = max(1.0, float(np.max(np.abs(target))))
+    return float(np.max(np.abs(total - target)) / scale)
 
 
 def _eval_scale(coeffs: list[float], x: float) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     BarrierNotRightOfRoots,
     DegreeTooSmall,
@@ -66,10 +65,13 @@ def max_root(p: RealRootedPoly) -> float:
     return p.roots[-1]
 
 
-def potential(p: RealRootedPoly, b: float, tol: Tolerances = DEFAULT) -> float:
+_GAP_TOL = 1e-13  # least admissible distance from a barrier to the largest root
+
+
+def potential(p: RealRootedPoly, b: float) -> float:
     """Barrier potential p'(b)/p(b) = sum 1/(b - root_i), for b above all roots."""
     top = max_root(p)
-    if not (b > top + tol.gap):
+    if not (b > top + _GAP_TOL):
         raise BarrierNotRightOfRoots(f"b = {b} is not right of the largest root {top}")
     return float(np.sum(1.0 / (b - p.as_array())))
 
@@ -90,7 +92,10 @@ def _check_phi(phi) -> None:
         raise NonPositivePhi(f"phi must be a positive finite real (use PHI_INFINITY), got {phi}")
 
 
-def smax(p: RealRootedPoly, phi, tol: Tolerances = DEFAULT) -> float:
+_PHI_TOL = 1e-10  # relative accuracy of a potential-equation solve
+
+
+def smax(p: RealRootedPoly, phi) -> float:
     """Soft maximum: the unique b > max_root with potential(p, b) = phi.
 
     Solved in the shifted coordinate u = b - max_root, which sidesteps the
@@ -109,7 +114,7 @@ def smax(p: RealRootedPoly, phi, tol: Tolerances = DEFAULT) -> float:
     with np.errstate(over="ignore"):
         for _ in range(200):
             f = float(np.sum(1.0 / (u + d))) - phi
-            if abs(f) <= tol.phi * phi:
+            if abs(f) <= _PHI_TOL * phi:
                 break
             if f > 0.0:
                 lo = u
@@ -146,16 +151,19 @@ def _smax_batch(roots: np.ndarray, phi: float, iters: int = 110) -> np.ndarray:
     return top[:, 0] + 0.5 * (lo + hi)
 
 
-def _cluster(roots: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+_CLUSTER_TOL = 1e-10  # roots closer than this times max(1, |root|) are one root
+
+
+def _cluster(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group sorted roots into distinct values with multiplicities."""
     top = roots[1:]
-    if np.all(top - roots[:-1] > rel * np.maximum(1.0, np.abs(top))):
+    if np.all(top - roots[:-1] > _CLUSTER_TOL * np.maximum(1.0, np.abs(top))):
         # every gap is wide: each root is its own cluster (the loop below
         # would make a break at every index)
         return roots.copy(), np.ones(len(roots), dtype=np.int64)
     breaks = [0]
     for i in range(1, len(roots)):
-        if roots[i] - roots[breaks[-1]] > rel * max(1.0, abs(roots[i])):
+        if roots[i] - roots[breaks[-1]] > _CLUSTER_TOL * max(1.0, abs(roots[i])):
             breaks.append(i)
     breaks.append(len(roots))
     distinct = np.array([roots[breaks[j]:breaks[j + 1]].mean() for j in range(len(breaks) - 1)])
@@ -163,7 +171,7 @@ def _cluster(roots: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.asarray(mult)
 
 
-def derivative_roots_batch(roots: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def derivative_roots_batch(roots: np.ndarray) -> np.ndarray:
     """Roots of p' for every row p of an (r, deg) array of ascending roots.
 
     Returns an (r, deg - 1) array of ascending rows.  Each row is clustered
@@ -175,7 +183,7 @@ def derivative_roots_batch(roots: np.ndarray, tol: Tolerances = DEFAULT) -> np.n
     r, deg = roots.shape
     if deg < 2:
         raise DegreeTooSmall("derivative of a degree-1 polynomial has no roots")
-    clusters = [_cluster(row, tol.cluster) for row in roots]
+    clusters = [_cluster(row) for row in roots]
     groups: dict[int, list[int]] = {}
     for i, (distinct, _) in enumerate(clusters):
         groups.setdefault(len(distinct), []).append(i)
@@ -187,12 +195,15 @@ def derivative_roots_batch(roots: np.ndarray, tol: Tolerances = DEFAULT) -> np.n
         if n_distinct == 1:
             out[rows] = kept
         else:
-            x = _interior_roots(distinct, mult.astype(float), tol)
+            x = _interior_roots(distinct, mult.astype(float))
             out[rows] = np.sort(np.concatenate([kept, x], axis=1), axis=1)
     return out
 
 
-def _interior_roots(mu: np.ndarray, w: np.ndarray, tol: Tolerances) -> np.ndarray:
+_ROOT_TOL = 1e-12  # accuracy of an interior root, relative to max(1, |root|)
+
+
+def _interior_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """For (g, D) rows of distinct roots mu and weights w, the root of
     sum_j w_j/(x - mu_j) in each of the D - 1 gaps.
 
@@ -211,7 +222,7 @@ def _interior_roots(mu: np.ndarray, w: np.ndarray, tol: Tolerances) -> np.ndarra
         pos = (a_w / (mid[:, :, None] - a_mu)).sum(axis=2) > 0.0
         a_lo = np.where(pos, mid, a_lo)
         a_hi = np.where(pos, a_hi, mid)
-        done = (a_hi - a_lo <= tol.root * np.maximum(1.0, np.abs(mid))).all(axis=1)
+        done = (a_hi - a_lo <= _ROOT_TOL * np.maximum(1.0, np.abs(mid))).all(axis=1)
         n_done = np.count_nonzero(done)
         if n_done == len(live):
             break
@@ -233,7 +244,7 @@ def _interior_roots(mu: np.ndarray, w: np.ndarray, tol: Tolerances) -> np.ndarra
     return x
 
 
-def derivative_roots(p: RealRootedPoly, tol: Tolerances = DEFAULT) -> RealRootedPoly:
+def derivative_roots(p: RealRootedPoly) -> RealRootedPoly:
     """Roots of p', computed in root space as the one-row case of
     derivative_roots_batch.
 
@@ -241,13 +252,13 @@ def derivative_roots(p: RealRootedPoly, tol: Tolerances = DEFAULT) -> RealRooted
     consecutive distinct roots holds one more root of p', found by bisection
     and polished by two clamped Newton steps.
     """
-    return RealRootedPoly(tuple(derivative_roots_batch(p.as_array()[None, :], tol)[0]))
+    return RealRootedPoly(tuple(derivative_roots_batch(p.as_array()[None, :])[0]))
 
 
-def nth_derivative_roots(p: RealRootedPoly, k: int, tol: Tolerances = DEFAULT) -> RealRootedPoly:
+def nth_derivative_roots(p: RealRootedPoly, k: int) -> RealRootedPoly:
     """Roots of the k-th derivative, 0 <= k <= degree - 1."""
     k = _check_count(k, 0, p.degree - 1, DerivativeOrderTooLarge, "derivative order")
     q = p
     for _ in range(k):
-        q = derivative_roots(q, tol)
+        q = derivative_roots(q)
     return q

@@ -26,7 +26,6 @@ from .barrier import (
     zd1_bound,
     zd3_bound,
 )
-from .config import DEFAULT, Tolerances
 from .errors import (
     CertificateViolation,
     ConvergenceFailure,
@@ -36,11 +35,9 @@ from .errors import (
     KOutOfRange,
     NotHermitian,
     NotPositiveContraction,
-    SizeTooLarge,
     SpectrumOutOfRange,
     ZeroOperator,
 )
-from .oracle import charpoly_coeffs_unchecked, derivative_coeffs
 from .realroot import (
     RealRootedPoly,
     _check_count,
@@ -52,6 +49,9 @@ from .realroot import (
     potential,
     smax,
 )
+
+
+_HERMITIAN_TOL = 1e-12  # allowed |a - a*| entry, relative to max(1, max |a_ij|)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class HermitianMatrix:
             raise NotHermitian("matrix entries must be finite")
         dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
         scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-        if dev > DEFAULT.hermitian * scale:
+        if dev > _HERMITIAN_TOL * scale:
             raise NotHermitian(f"conjugate-symmetry deviation {dev:.3e} exceeds tolerance")
         object.__setattr__(self, "entries", a)
 
@@ -108,6 +108,9 @@ class SelectionMode(enum.Enum):
 _UPPER_MODES = {SelectionMode.MAXROOT_GREEDY, SelectionMode.SMAX_GREEDY, SelectionMode.TWO_SIDED}
 
 
+_CERTIFICATE_SLACK = 1e-8  # absolute slack of a certificate's re-checked inequality
+
+
 @dataclass(frozen=True)
 class SelectionCertificate:
     kept_indices: tuple[int, ...]
@@ -119,9 +122,9 @@ class SelectionCertificate:
 
     def __post_init__(self):
         if self.mode in _UPPER_MODES:
-            ok = self.achieved_extreme <= self.certified_bound + DEFAULT.certificate
+            ok = self.achieved_extreme <= self.certified_bound + _CERTIFICATE_SLACK
         else:
-            ok = self.achieved_extreme >= self.certified_bound - DEFAULT.certificate
+            ok = self.achieved_extreme >= self.certified_bound - _CERTIFICATE_SLACK
         if not ok:
             raise CertificateViolation(
                 f"{self.mode.value}: achieved {self.achieved_extreme} violates "
@@ -143,28 +146,6 @@ def eigenvalues(a: HermitianMatrix) -> np.ndarray:
 
 def charpoly_as_roots(a: HermitianMatrix) -> RealRootedPoly:
     return RealRootedPoly(tuple(eigenvalues(a)))
-
-
-def thompson_residual(a: HermitianMatrix) -> float:
-    """Coefficient residual of: sum of defect-1 charpolys = (charpoly)'.
-
-    Both sides expanded by the coefficient recurrence; returns the max
-    coefficient deviation normalized by the largest derivative coefficient.
-    """
-    n = a.n
-    if n > 64:
-        raise SizeTooLarge("thompson residual limited to n <= 64")
-    if n < 2:
-        raise InputError("need n >= 2")
-    full = charpoly_coeffs_unchecked(a.entries)
-    target = np.asarray(derivative_coeffs(full, 1).coeffs)
-    total = np.zeros(n)
-    for i in range(n):
-        idx = [j for j in range(n) if j != i]
-        sub = a.entries[np.ix_(idx, idx)]
-        total += np.asarray(charpoly_coeffs_unchecked(sub).coeffs)
-    scale = max(1.0, float(np.max(np.abs(target))))
-    return float(np.max(np.abs(total - target)) / scale)
 
 
 def _candidate_eigs(entries: np.ndarray, live: list[int]) -> np.ndarray:
@@ -213,7 +194,7 @@ def _certify(a: HermitianMatrix, live: list[int], trace, bound: float,
                                 mode, phi, tuple(trace))
 
 
-def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_maxroot_greedy(a: HermitianMatrix, k: int) -> SelectionCertificate:
     """Greedy removal minimising the max root of the candidate's derivative.
 
     At matrix size m the compared polynomial is the (m - 1 - k)-th derivative
@@ -224,19 +205,18 @@ def select_maxroot_greedy(a: HermitianMatrix, k: int, tol: Tolerances = DEFAULT)
     """
     n = a.n
     k = _check_count(k, 1, n - 1, KOutOfRange, "subset size")
-    bound = max_root(nth_derivative_roots(charpoly_as_roots(a), n - k, tol))
+    bound = max_root(nth_derivative_roots(charpoly_as_roots(a), n - k))
 
     def score(rows: np.ndarray) -> np.ndarray:
         for _ in range(rows.shape[1] - k):
-            rows = derivative_roots_batch(rows, tol)
+            rows = derivative_roots_batch(rows)
         return rows[:, -1]
 
     live, trace = _greedy(a.entries, k, score)
     return _certify(a, live, trace, bound, SelectionMode.MAXROOT_GREEDY)
 
 
-def select_smax_greedy(a: HermitianMatrix, k: int, phi: float,
-                       tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_smax_greedy(a: HermitianMatrix, k: int, phi: float) -> SelectionCertificate:
     """Greedy removal minimising the soft maximum at fixed potential phi.
 
     Each round the chosen candidate's smax drops by at least 1/phi, so the
@@ -246,7 +226,7 @@ def select_smax_greedy(a: HermitianMatrix, k: int, phi: float,
     k = _check_count(k, 1, n - 1, KOutOfRange, "subset size")
     _check_phi(phi)
     phi = float(phi)
-    bound = smax(charpoly_as_roots(a), phi, tol) - (n - k) / phi
+    bound = smax(charpoly_as_roots(a), phi) - (n - k) / phi
     live, trace = _greedy(a.entries, k, lambda rows: _smax_batch(rows, phi))
     return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi)
 
@@ -257,7 +237,7 @@ def _spectrum_checks(ev: np.ndarray) -> None:
             f"spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] not contained in [-1, 1]")
 
 
-def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_low_norm(a: HermitianMatrix, keep: int) -> SelectionCertificate:
     """Keep `keep` indices of a spectrum-normalized matrix with a norm-side bound.
 
     Positive contractions run directly (mean-alpha closed form); matrices with
@@ -293,7 +273,7 @@ def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) ->
     if closed_ok:
         b_star = mrr_optimal_barrier(alpha, c_d)
         if b_star > max_root(chi_m) + 1e-9:
-            phi_used = potential(chi_m, b_star, tol)
+            phi_used = potential(chi_m, b_star)
         else:
             closed_ok = False
     if closed_ok:
@@ -303,7 +283,7 @@ def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) ->
             bound_m = zd3_bound(alpha, keep / n)
             bound = bound_m if m_entries is a.entries else 2.0 * bound_m - 1.0
     else:
-        report = optimize_barrier(chi_m, k_d, tol)
+        report = optimize_barrier(chi_m, k_d)
         phi_used = report.optimal_phi
         bound_m = report.bound
         bound = bound_m if m_entries is a.entries else 2.0 * bound_m - 1.0
@@ -316,7 +296,7 @@ def select_low_norm(a: HermitianMatrix, keep: int, tol: Tolerances = DEFAULT) ->
     return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi_used)
 
 
-def select_two_sided(a: HermitianMatrix, c: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_two_sided(a: HermitianMatrix, c: float) -> SelectionCertificate:
     """Two-stage norm control: bound lambda_max, then lambda_min on the negation.
 
     Needs a zero diagonal (or zero trace) and spectrum in [-1, 1]; keeps
@@ -339,17 +319,17 @@ def select_two_sided(a: HermitianMatrix, c: float, tol: Tolerances = DEFAULT) ->
     if keep2 < 1:
         raise CRangeError(f"floor(c^2 n) = {keep2}; nothing would survive stage 2")
 
-    stage1 = select_low_norm(a, keep1, tol)
+    stage1 = select_low_norm(a, keep1)
     s1 = list(stage1.kept_indices)
     a1 = a.entries[np.ix_(s1, s1)]
-    stage2 = select_low_norm(HermitianMatrix(-a1), keep2, tol)
+    stage2 = select_low_norm(HermitianMatrix(-a1), keep2)
     s2 = [s1[j] for j in stage2.kept_indices]
     bound = max(stage1.certified_bound, stage2.certified_bound)
     trace = stage1.removal_trace + tuple(s1[j] for j in stage2.removal_trace)
     return _certify(a, s2, trace, bound, SelectionMode.TWO_SIDED)
 
 
-def select_invertible(a: HermitianMatrix, delta: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_invertible(a: HermitianMatrix, delta: float) -> SelectionCertificate:
     """Keep floor(delta * modified-stable-rank * n) indices of a positive
     contraction so the kept block stays well invertible.
 
@@ -397,9 +377,9 @@ def select_invertible(a: HermitianMatrix, delta: float, tol: Tolerances = DEFAUL
         b_tilde = (1.0 - s) + math.sqrt(c_d / (1.0 - c_d)) * math.sqrt(s * (1.0 - s))
         b_star = x + (1.0 - x) * b_tilde
         if b_star > max_root(chi_m) + 1e-9:
-            phi_used = potential(chi_m, b_star, tol)
+            phi_used = potential(chi_m, b_star)
     if phi_used is None:
-        phi_used = optimize_barrier(chi_m, n - k, tol).optimal_phi
+        phi_used = optimize_barrier(chi_m, n - k).optimal_phi
         if not isinstance(phi_used, float):
             phi_used = float(n)  # degenerate spectrum: any phi works
 
@@ -408,7 +388,7 @@ def select_invertible(a: HermitianMatrix, delta: float, tol: Tolerances = DEFAUL
                     SelectionMode.INVERTIBILITY, phi_used)
 
 
-def select_columns(t: RectOperator, delta: float, tol: Tolerances = DEFAULT) -> SelectionCertificate:
+def select_columns(t: RectOperator, delta: float) -> SelectionCertificate:
     """Column subset with a certified least singular value.
 
     Runs the invertibility selector on the normalized Gram matrix; keeps
@@ -425,7 +405,7 @@ def select_columns(t: RectOperator, delta: float, tol: Tolerances = DEFAULT) -> 
     top = float(ev_g[-1])
     if top <= 0.0:
         raise ZeroOperator("operator is numerically zero")
-    inner = select_invertible(HermitianMatrix(gram / top), delta, tol)
+    inner = select_invertible(HermitianMatrix(gram / top), delta)
     kept = inner.kept_indices
     c = len(kept) / m
     sub = gram[np.ix_(kept, kept)]

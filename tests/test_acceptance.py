@@ -29,7 +29,7 @@ from subforge.gausslucas import (
     rr_spread_ratio,
     sharpness_experiment,
 )
-from subforge.oracle import brute_force_best_subset, grid_search_potential
+from subforge.oracle import brute_force_best_subset, grid_search_potential, thompson_residual
 from subforge.realroot import RealRootedPoly, nth_derivative_roots, smax
 from subforge.barrier import SpectralProfile, refined_potential_bound
 from subforge.submatrix import (
@@ -40,7 +40,6 @@ from subforge.submatrix import (
     select_invertible,
     select_low_norm,
     select_smax_greedy,
-    thompson_residual,
 )
 from conftest import rand_contraction, rand_herm, rand_traceless_unit, record
 

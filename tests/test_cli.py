@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from subforge.cli import main
+from subforge.errors import ConvergenceFailure, OracleFailure
 from subforge.formats import SCHEMA_VERSION, certificate_from_dict
 from subforge.config import VERSION
+from subforge.gausslucas import spread_bound
+from subforge.realroot import RealRootedPoly
 
 
 def run(capsys, argv):
@@ -278,6 +281,88 @@ def test_gauss_lucas_argument_errors(tmp_path, capsys):
     assert rc == 2  # csv needs a geometric check
     rc, _, err = run(capsys, ["gauss-lucas", "--poly", f, "--check", "chain"])
     assert rc == 2  # chain needs --k or --c
+
+
+_REAL_ROOTS = [-1.0, -0.3, 0.2, 0.5, 1.1]
+
+
+@pytest.mark.parametrize("c", [0.5, 0.75, 0.97])
+def test_gauss_lucas_spread_report_and_csv(tmp_path, capsys, monkeypatch, c):
+    # one derivative chain per run, with or without --emit-csv; the CSV rows
+    # are repr of the input roots and of that chain's roots, with no hull rows
+    # (the sets are real); at c = 0.97 one root is left and the ratio is 0
+    import subforge.cli as cli
+    import subforge.gausslucas as gl
+
+    f = poly_file(tmp_path, "p.json", {"roots": _REAL_ROOTS})
+    csv_path = tmp_path / "roots.csv"
+    real = gl.nth_derivative_roots
+    argv = ["gauss-lucas", "--poly", f, "--check", "spread", "--c", str(c)]
+    outputs = []
+    for extra in ([], ["--emit-csv", str(csv_path)]):
+        calls = []
+
+        def spy(p, k, calls=calls):
+            calls.append(k)
+            return real(p, k)
+
+        # cli's own binding (the verify suites use it) is counted as well
+        monkeypatch.setattr(gl, "nth_derivative_roots", spy)
+        monkeypatch.setattr(cli, "nth_derivative_roots", spy)
+        outputs.append(run_report(capsys, argv + extra)["outputs"])
+        assert len(calls) == 1
+    assert outputs[0] == outputs[1]
+
+    k = math.floor(c * 5)
+    q = real(RealRootedPoly(tuple(_REAL_ROOTS)), k)
+    assert outputs[0] == {"check": "spread", "n": 5, "k": k,
+                          "ratio": (q.roots[-1] - q.roots[0]) / (1.1 - -1.0),
+                          "bound": spread_bound(c), "bound_realized": spread_bound(k / 5),
+                          "verdict": "within_bound"}
+    assert len(q.roots) == 5 - k
+    if c == 0.97:
+        assert outputs[0]["ratio"] == 0.0
+    want = [["root_before", repr(x), "0.0"] for x in _REAL_ROOTS]
+    want += [["root_after", repr(x), "0.0"] for x in q.roots]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["kind", "re", "im"]] + want
+
+
+def _disc_roots(radius, n, seed=3):
+    rng = np.random.default_rng(seed)
+    roots = radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    return [[z.real, z.imag] for z in roots]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("payload, check", [
+    # z^20 + 1e100 z^5: Aberth stalls for all 500 sweeps
+    ({"coeffs": [0.0] * 5 + [1e100] + [0.0] * 14 + [1.0]}, "area"),
+    # roots of modulus up to 100 at degree 100: p overflows, every residual is NaN
+    ({"roots": _disc_roots(100.0, 100)}, "area"),
+    ({"roots": _disc_roots(100.0, 100)}, "disc"),
+])
+def test_gauss_lucas_solver_failure_exits_4(tmp_path, capsys, payload, check):
+    f = poly_file(tmp_path, "p.json", payload)
+    rc, out, err = run(capsys, ["gauss-lucas", "--poly", f, "--check", check, "--c", "0.5"])
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "RootConvergenceFailure"
+
+
+@pytest.mark.parametrize("exc", [ConvergenceFailure, OracleFailure])
+def test_solver_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
+    import subforge.cli as cli
+
+    def fail(*_args):
+        raise exc("did not converge")
+
+    monkeypatch.setattr(cli, "select_maxroot_greedy", fail)
+    f = matrix_file(tmp_path, "m.json", np.diag([1.0, 2.0, 3.0]))
+    rc, out, err = run(capsys, ["select", "--matrix", f, "--mode", "maxroot", "--keep", "2"])
+    assert (rc, out) == (4, "")
+    assert json.loads(err) == {"error": exc.__name__, "message": "did not converge"}
 
 
 def test_verify_single_suite(capsys):

@@ -31,9 +31,8 @@ from subforge.submatrix import (
     select_maxroot_greedy,
     select_smax_greedy,
     select_two_sided,
-    thompson_residual,
 )
-from subforge.oracle import brute_force_best_subset
+from subforge.oracle import brute_force_best_subset, thompson_residual
 from conftest import rand_contraction, rand_herm, rand_traceless_unit
 
 
