@@ -159,18 +159,14 @@ def modified_stable_rank(tr_b: float, tr_b2: float) -> float:
         raise InputError(f"normalized trace {tr_b} outside (0, 1]")
     if tr_b2 > tr_b + 1e-12 or tr_b2 < tr_b * tr_b - 1e-12:
         raise InputError(f"normalized tr(B^2) = {tr_b2} outside [tr(B)^2, tr(B)]")
+    if not tr_b2 > 0.0:  # NaN, or underflowed to zero
+        raise InputError(f"normalized tr(B^2) = {tr_b2} must be positive")
     return tr_b * tr_b / tr_b2
 
 
 def kastza_bound(tr_b: float, delta: float, c: float) -> float:
     """Norm bound 1 - tr(B) (sqrt(1-c) - sqrt(delta-c))^2, for c <= delta <= 1."""
-    if not 0.0 < tr_b <= 1.0:
-        raise InputError(f"normalized trace {tr_b} outside (0, 1]")
-    if not 0.0 < delta <= 1.0:
-        raise CRangeError(f"delta = {delta} outside (0, 1]")
-    if not 0.0 <= c <= delta:
-        raise CRangeError(f"c = {c} outside [0, delta]")
-    return 1.0 - tr_b * (math.sqrt(1.0 - c) - math.sqrt(delta - c)) ** 2
+    return 1.0 - bt_bound(tr_b, delta, c)
 
 
 def bt_bound(tr_a: float, delta: float, c: float) -> float:
@@ -194,6 +190,8 @@ def xst_params(profile: SpectralProfile) -> tuple[float, float, float]:
     if a >= 1.0 - 1e-15:
         raise DegenerateProfile("alpha = 1 leaves no mass away from 1")
     denom = 1.0 - 2.0 * a + b
+    if not denom > 0.0:
+        raise DegenerateProfile(f"1 - 2 alpha + beta = {denom} leaves no two-point surrogate")
     x = (a - b) / (1.0 - a)
     s = (b - a * a) / denom
     t = (1.0 - a) ** 2 / denom

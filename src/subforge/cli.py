@@ -127,13 +127,14 @@ def _cmd_select(args):
 
 # ---------------------------------------------------------------- bounds
 
-_FORMULA_ARGS = {
-    "mrr": ("alpha", "c"),
-    "zd1": ("c",),
-    "zd3": ("alpha", "c"),
-    "kastza": ("tr_b", "delta", "c"),
-    "bt": ("tr_a", "delta", "c"),
-    "msr": ("tr_b", "tr_b2"),
+# name -> (formula, its parameter names); each is called with keywords
+_FORMULAS = {
+    "mrr": (barrier.mrr_bound, ("alpha", "c")),
+    "zd1": (barrier.zd1_bound, ("c",)),
+    "zd3": (barrier.zd3_bound, ("alpha", "c")),
+    "kastza": (barrier.kastza_bound, ("tr_b", "delta", "c")),
+    "bt": (barrier.bt_bound, ("tr_a", "delta", "c")),
+    "msr": (barrier.modified_stable_rank, ("tr_b", "tr_b2")),
 }
 
 
@@ -155,26 +156,13 @@ def _parse_params(raw: str) -> dict:
 def _cmd_bounds(args):
     formula = args.formula
     params = _parse_params(args.params)
-    wanted = _FORMULA_ARGS[formula]
+    fn, wanted = _FORMULAS[formula]
     missing = [k for k in wanted if k not in params]
     extra = [k for k in params if k not in wanted]
     _require(not missing, f"{formula} needs parameters {', '.join(missing)}")
     _require(not extra, f"{formula} does not take {', '.join(extra)}")
 
-    if formula == "mrr":
-        value = barrier.mrr_bound(params["alpha"], params["c"])
-    elif formula == "zd1":
-        value = barrier.zd1_bound(params["c"])
-    elif formula == "zd3":
-        value = barrier.zd3_bound(params["alpha"], params["c"])
-    elif formula == "kastza":
-        value = barrier.kastza_bound(params["tr_b"], params["delta"], params["c"])
-    elif formula == "bt":
-        value = barrier.bt_bound(params["tr_a"], params["delta"], params["c"])
-    else:
-        value = barrier.modified_stable_rank(params["tr_b"], params["tr_b2"])
-
-    outputs = {"formula": formula, "params": params, "value": value}
+    outputs = {"formula": formula, "params": params, "value": fn(**params)}
     if formula == "mrr" and params["c"] < 1.0:
         outputs["optimal_b"] = barrier.mrr_optimal_barrier(params["alpha"], params["c"])
     return outputs, [], {"formula": formula, "params": params}, 0
@@ -187,7 +175,7 @@ def _cmd_gauss_lucas(args):
     c = args.c
     if check in ("area", "spread", "disc"):
         _require(c is not None, f"--c is required for {check}")
-        _require(args.k is None, f"--k applies only to chain")
+        _require(args.k is None, "--k applies only to chain")
     code = 0
     csv_parts = None
     try:
@@ -349,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_select)
 
     pb = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    pb.add_argument("--formula", required=True, choices=sorted(_FORMULA_ARGS))
+    pb.add_argument("--formula", required=True, choices=sorted(_FORMULAS))
     pb.add_argument("--params", required=True,
                     help="comma-separated key=value pairs, e.g. alpha=0.5,c=0.75")
     pb.set_defaults(func=_cmd_bounds)

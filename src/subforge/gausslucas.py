@@ -72,8 +72,7 @@ class HullReport:
 
     def width(self, theta: float) -> float:
         """Width of the hull along direction theta, computed on demand."""
-        proj = [(v * np.exp(-1j * theta)).real for v in self.hull_vertices]
-        return max(proj) - min(proj)
+        return directional_spread(self.hull_vertices, theta)
 
     @property
     def span(self) -> float:

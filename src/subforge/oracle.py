@@ -47,10 +47,7 @@ class CoeffPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
 
 def _fl_coeffs(a: np.ndarray) -> list[float]:

@@ -129,7 +129,7 @@ def smax(p: RealRootedPoly, phi) -> float:
     return max_root(p) + u
 
 
-def _smax_batch(roots: np.ndarray, phi: float, iters: int = 110) -> np.ndarray:
+def _smax_batch(roots: np.ndarray, phi: float) -> np.ndarray:
     """smax for many same-degree root rows at once (pure bisection in u).
 
     Accuracy is bisection-to-rounding: the returned values agree with the
@@ -140,7 +140,7 @@ def _smax_batch(roots: np.ndarray, phi: float, iters: int = 110) -> np.ndarray:
     m = roots.shape[1]
     lo = np.full(roots.shape[0], 1.0 / phi)
     hi = np.full(roots.shape[0], m / phi)
-    for _ in range(iters):
+    for _ in range(110):
         mid = 0.5 * (lo + hi)
         f = np.sum(1.0 / (mid[:, None] + d), axis=1) - phi
         pos = f > 0.0

@@ -19,7 +19,9 @@ import numpy as np
 
 from .barrier import (
     SpectralProfile,
+    barrier_bound,
     bt_bound,
+    modified_stable_rank,
     mrr_optimal_barrier,
     optimize_barrier,
     xst_params,
@@ -30,6 +32,7 @@ from .errors import (
     CertificateViolation,
     ConvergenceFailure,
     CRangeError,
+    DegenerateProfile,
     DeltaRange,
     InputError,
     KOutOfRange,
@@ -39,6 +42,7 @@ from .errors import (
     ZeroOperator,
 )
 from .realroot import (
+    PHI_INFINITY,
     RealRootedPoly,
     _check_count,
     _check_phi,
@@ -66,8 +70,8 @@ class HermitianMatrix:
             raise NotHermitian("matrix must be nonempty")
         if not np.all(np.isfinite(a)):
             raise NotHermitian("matrix entries must be finite")
-        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+        dev = np.max(np.abs(a - a.conj().T))
+        scale = max(1.0, float(np.max(np.abs(a))))
         if dev > _HERMITIAN_TOL * scale:
             raise NotHermitian(f"conjugate-symmetry deviation {dev:.3e} exceeds tolerance")
         object.__setattr__(self, "entries", a)
@@ -231,10 +235,24 @@ def select_smax_greedy(a: HermitianMatrix, k: int, phi: float) -> SelectionCerti
     return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi)
 
 
+_SPECTRUM_SLACK = 1e-10  # eigenvalues may overshoot [0, 1] or [-1, 1] by this much
+_ZERO_TRACE_TOL = 1e-8  # |trace| at or below this counts as a zero trace
+_BARRIER_CLEARANCE = 1e-9  # a closed-form barrier must clear the top root by this
+
+
 def _spectrum_checks(ev: np.ndarray) -> None:
-    if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
+    if ev[0] < -1.0 - _SPECTRUM_SLACK or ev[-1] > 1.0 + _SPECTRUM_SLACK:
         raise SpectrumOutOfRange(
             f"spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] not contained in [-1, 1]")
+
+
+def _greedy_phi(chi: RealRootedPoly, k_d: int, b_star: float | None):
+    """(phi, closed) for the greedy: the potential at the closed-form barrier
+    b_star when it clears the top root of chi (closed is True), else the phi
+    of the barrier optimum for k_d removals (PHI_INFINITY on one point)."""
+    if b_star is not None and b_star > max_root(chi) + _BARRIER_CLEARANCE:
+        return potential(chi, b_star), True
+    return optimize_barrier(chi, k_d).optimal_phi, False
 
 
 def select_low_norm(a: HermitianMatrix, keep: int) -> SelectionCertificate:
@@ -252,9 +270,9 @@ def select_low_norm(a: HermitianMatrix, keep: int) -> SelectionCertificate:
     k_d = n - keep
     c_d = k_d / n
 
-    if ev[0] >= -1e-10:
+    if ev[0] >= -_SPECTRUM_SLACK:
         # already a positive contraction (allow unit-norm dust)
-        if ev[-1] > 1.0 + 1e-10:
+        if ev[-1] > 1.0 + _SPECTRUM_SLACK:
             raise SpectrumOutOfRange(f"largest eigenvalue {ev[-1]:.6g} exceeds 1")
         m_entries = a.entries
         ev_m = ev
@@ -263,34 +281,23 @@ def select_low_norm(a: HermitianMatrix, keep: int) -> SelectionCertificate:
         _spectrum_checks(ev)
         m_entries = (a.entries + np.eye(n)) / 2.0
         ev_m = (ev + 1.0) / 2.0
-        traceless = abs(float(np.sum(ev))) <= 1e-8
+        traceless = abs(float(np.sum(ev))) <= _ZERO_TRACE_TOL
 
     alpha = float(np.clip(np.mean(ev_m), 0.0, 1.0))
     chi_m = RealRootedPoly(tuple(ev_m))
 
     closed_ok = c_d >= alpha and c_d < 1.0 and alpha > 0.0
-    phi_used = None
-    if closed_ok:
-        b_star = mrr_optimal_barrier(alpha, c_d)
-        if b_star > max_root(chi_m) + 1e-9:
-            phi_used = potential(chi_m, b_star)
-        else:
-            closed_ok = False
-    if closed_ok:
-        if traceless:
-            bound = zd1_bound(c_d)
-        else:
-            bound_m = zd3_bound(alpha, keep / n)
-            bound = bound_m if m_entries is a.entries else 2.0 * bound_m - 1.0
+    b_star = mrr_optimal_barrier(alpha, c_d) if closed_ok else None
+    phi_used, closed = _greedy_phi(chi_m, k_d, b_star)
+    if closed and traceless:
+        bound = zd1_bound(c_d)
     else:
-        report = optimize_barrier(chi_m, k_d)
-        phi_used = report.optimal_phi
-        bound_m = report.bound
+        bound_m = zd3_bound(alpha, keep / n) if closed else barrier_bound(chi_m, k_d, phi_used)
         bound = bound_m if m_entries is a.entries else 2.0 * bound_m - 1.0
-        if not isinstance(phi_used, float):
-            # degenerate span: any subset achieves the common eigenvalue
-            return _certify(a, list(range(keep)), range(keep, n), bound,
-                            SelectionMode.SMAX_GREEDY)
+    if phi_used is PHI_INFINITY:
+        # degenerate span: any subset achieves the common eigenvalue
+        return _certify(a, list(range(keep)), range(keep, n), bound,
+                        SelectionMode.SMAX_GREEDY)
 
     live, trace = _greedy(m_entries, keep, lambda rows: _smax_batch(rows, phi_used))
     return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi_used)
@@ -308,9 +315,9 @@ def select_two_sided(a: HermitianMatrix, c: float) -> SelectionCertificate:
     if not 0.0 < c <= 0.5:
         raise CRangeError(f"c = {c} outside (0, 1/2]")
     diag = np.diag(a.entries)
-    zero_diag = float(np.max(np.abs(diag))) <= 1e-10 if n else True
+    zero_diag = float(np.max(np.abs(diag))) <= 1e-10
     tr = float(np.real(np.trace(a.entries)))
-    if not zero_diag and abs(tr) > 1e-8:
+    if not zero_diag and abs(tr) > _ZERO_TRACE_TOL:
         raise SpectrumOutOfRange("requires a zero diagonal or zero trace")
     ev = eigenvalues(a)
     _spectrum_checks(ev)
@@ -334,7 +341,8 @@ def select_invertible(a: HermitianMatrix, delta: float) -> SelectionCertificate:
     contraction so the kept block stays well invertible.
 
     The greedy runs on I - A with the barrier placed at the two-point-profile
-    optimum; the certified bound is tr(A)*(sqrt(1-c) - sqrt(delta-c))^2 at the
+    optimum (or the numeric barrier optimum where that closed form does not
+    apply); the certified bound is tr(A)*(sqrt(1-c) - sqrt(delta-c))^2 at the
     realized kept fraction c (never larger than the ideal fraction, so the
     claim is conservative).
     """
@@ -342,26 +350,22 @@ def select_invertible(a: HermitianMatrix, delta: float) -> SelectionCertificate:
     if not 0.0 < delta <= 1.0:
         raise DeltaRange(f"delta = {delta} outside (0, 1]")
     ev = eigenvalues(a)
-    if ev[0] < -1e-10 or ev[-1] > 1.0 + 1e-10:
+    if ev[0] < -_SPECTRUM_SLACK or ev[-1] > 1.0 + _SPECTRUM_SLACK:
         raise NotPositiveContraction(
             f"spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] not contained in [0, 1]")
     tr_a = float(np.mean(np.clip(ev, 0.0, 1.0)))
     tr_a2 = float(np.mean(np.clip(ev, 0.0, 1.0) ** 2))
     if tr_a <= 0.0:
         raise NotPositiveContraction("trace must be positive")
-    msr = tr_a * tr_a / tr_a2
-    c_ideal = delta * msr
+    c_ideal = delta * modified_stable_rank(tr_a, tr_a2)
     k = math.floor(c_ideal * n)
     if k < 1:
         raise DeltaRange(f"floor(delta * msr * n) = {k}; nothing would be kept")
     c_real = k / n
 
     if k == n:
-        live = list(range(n))
-        achieved = float(ev[0])
-        bound = bt_bound(tr_a, delta, min(c_real, delta))
-        return SelectionCertificate(tuple(live), achieved, float(bound),
-                                    SelectionMode.INVERTIBILITY, None, ())
+        return _certify(a, list(range(n)), (), bt_bound(tr_a, delta, min(c_real, delta)),
+                        SelectionMode.INVERTIBILITY)
 
     m_entries = np.eye(n) - a.entries
     ev_m = np.sort(1.0 - ev)
@@ -370,18 +374,19 @@ def select_invertible(a: HermitianMatrix, delta: float) -> SelectionCertificate:
     beta_m = float(np.clip(np.mean(ev_m**2), alpha_m**2, alpha_m))
     c_d = (n - k) / n
 
-    phi_used = None
+    b_star = None
     if alpha_m < 1.0 - 1e-12:
-        x, s, _ = xst_params(SpectralProfile(n, alpha_m, beta_m))
-        s = min(max(s, 0.0), 1.0)
-        b_tilde = (1.0 - s) + math.sqrt(c_d / (1.0 - c_d)) * math.sqrt(s * (1.0 - s))
-        b_star = x + (1.0 - x) * b_tilde
-        if b_star > max_root(chi_m) + 1e-9:
-            phi_used = potential(chi_m, b_star)
-    if phi_used is None:
-        phi_used = optimize_barrier(chi_m, n - k).optimal_phi
-        if not isinstance(phi_used, float):
-            phi_used = float(n)  # degenerate spectrum: any phi works
+        try:
+            x, s, _ = xst_params(SpectralProfile(n, alpha_m, beta_m))
+        except DegenerateProfile:
+            pass  # no two-point surrogate: the barrier optimum places phi
+        else:
+            s = min(max(s, 0.0), 1.0)
+            b_tilde = (1.0 - s) + math.sqrt(c_d / (1.0 - c_d)) * math.sqrt(s * (1.0 - s))
+            b_star = x + (1.0 - x) * b_tilde
+    phi_used, _ = _greedy_phi(chi_m, n - k, b_star)
+    if phi_used is PHI_INFINITY:
+        phi_used = float(n)  # degenerate spectrum: any phi works
 
     live, trace = _greedy(m_entries, k, lambda rows: _smax_batch(rows, phi_used))
     return _certify(a, live, trace, bt_bound(tr_a, delta, c_real),
@@ -391,14 +396,13 @@ def select_invertible(a: HermitianMatrix, delta: float) -> SelectionCertificate:
 def select_columns(t: RectOperator, delta: float) -> SelectionCertificate:
     """Column subset with a certified least singular value.
 
-    Runs the invertibility selector on the normalized Gram matrix; keeps
-    floor(delta * ||T||_2^4 / ||T||_4^4) columns and certifies
-    s_min >= (||T||_2 / sqrt(m)) * (sqrt(1-c) - sqrt(delta-c)).
+    Runs the invertibility selector on the Gram matrix scaled to top
+    eigenvalue 1 and certifies s_min >= sqrt(||T||^2 * its bound), the bound
+    rescaled: (||T||_F / sqrt(m)) (sqrt(1-c) - sqrt(delta-c)) at kept fraction c.
     """
     if not 0.0 < delta <= 1.0:
         raise DeltaRange(f"delta = {delta} outside (0, 1]")
     arr = t.entries
-    m = t.cols
     gram = arr.conj().T @ arr
     gram = (gram + gram.conj().T) / 2.0
     ev_g = _eigs(gram)
@@ -407,11 +411,7 @@ def select_columns(t: RectOperator, delta: float) -> SelectionCertificate:
         raise ZeroOperator("operator is numerically zero")
     inner = select_invertible(HermitianMatrix(gram / top), delta)
     kept = inner.kept_indices
-    c = len(kept) / m
-    sub = gram[np.ix_(kept, kept)]
-    smin = math.sqrt(max(float(_eigs(sub)[0]), 0.0))
-    norm2 = math.sqrt(max(float(np.real(np.trace(gram))), 0.0))
-    bound = (norm2 / math.sqrt(m)) * (math.sqrt(1.0 - c) - math.sqrt(max(delta - c, 0.0)))
-    return SelectionCertificate(kept, smin, float(bound),
+    smin = math.sqrt(max(float(_eigs(gram[np.ix_(kept, kept)])[0]), 0.0))
+    return SelectionCertificate(kept, smin, math.sqrt(top * inner.certified_bound),
                                 SelectionMode.COLUMN_SELECT, inner.phi_used,
                                 inner.removal_trace)

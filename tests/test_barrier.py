@@ -120,6 +120,22 @@ def test_modified_stable_rank():
         modified_stable_rank(0.0, 0.0)
 
 
+@pytest.mark.parametrize("tr_b2", [0.0, float("nan")])
+def test_modified_stable_rank_rejects_vanishing_or_nan_square_trace(tr_b2):
+    # tr(B)^2 - 1e-12 < 0 lets 0 through the range check; NaN fails no comparison
+    with pytest.raises(InputError):
+        modified_stable_rank(1e-7, tr_b2)
+
+
+def test_xst_params_rejects_vanishing_denominator():
+    # the mean of six eigenvalues 1 - 1e-9: 1 - 2 alpha + beta rounds to 0
+    alpha = 1.0 - 1e-9
+    beta = float(np.clip(np.mean(np.full(6, alpha) ** 2), alpha**2, alpha))
+    assert 1.0 - 2.0 * alpha + beta == 0.0
+    with pytest.raises(DegenerateProfile):
+        xst_params(SpectralProfile(6, alpha, beta))
+
+
 def test_norm_and_min_eigenvalue_bounds():
     # (sqrt(3/4) - sqrt(1/4))^2 = 1 - sqrt(3)/2, so the pair is complementary
     gap = (math.sqrt(0.75) - math.sqrt(0.25)) ** 2

@@ -154,6 +154,30 @@ def test_bounds_param_validation(capsys):
     assert rc == 2 and json.loads(err)["error"] == "CRangeError"
 
 
+@pytest.mark.parametrize("tr_b2", ["0", "nan"])
+def test_bounds_msr_rejects_vanishing_or_nan_square_trace(capsys, tr_b2):
+    rc, out, err = run(capsys, ["bounds", "--formula", "msr",
+                                "--params", f"tr_b=1e-7,tr_b2={tr_b2}"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_select_invertible_tiny_spectra_never_traceback(tmp_path, capsys):
+    # 1e-10 I: no two-point surrogate, the numeric barrier path certifies
+    f = matrix_file(tmp_path, "tiny.json", 1e-10 * np.eye(6))
+    report = run_report(capsys, ["select", "--matrix", f, "--mode", "invertible",
+                                 "--delta", "0.5"])
+    cert = report["outputs"]["certificate"]
+    assert len(cert["kept_indices"]) == 3
+    assert cert["certified_bound"] == pytest.approx(0.5e-10, rel=1e-12)
+    # 1e-300 I: tr(A^2) underflows, an input error
+    f = matrix_file(tmp_path, "under.json", 1e-300 * np.eye(6))
+    rc, out, err = run(capsys, ["select", "--matrix", f, "--mode", "invertible",
+                                "--delta", "0.5"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_gauss_lucas_disc(tmp_path, capsys):
     f = poly_file(tmp_path, "p.json", {"coeffs": [0.0] * 8 + [1.0]})  # z^8
     report = run_report(capsys, ["gauss-lucas", "--poly", f, "--check", "disc", "--c", "0.5"])

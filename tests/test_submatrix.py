@@ -4,20 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from subforge.barrier import mrr_optimal_barrier, optimize_barrier, zd3_bound
 from subforge.errors import (
     CertificateViolation,
     CRangeError,
     DeltaRange,
+    InputError,
     KOutOfRange,
     NonPositivePhi,
     NotHermitian,
     NotPositiveContraction,
     SizeTooLarge,
     SpectrumOutOfRange,
+    SubforgeError,
     ZeroOperator,
 )
-from subforge.realroot import RealRootedPoly, max_root, nth_derivative_roots, smax
+from subforge.realroot import RealRootedPoly, max_root, nth_derivative_roots, potential, smax
 from subforge.submatrix import (
     HermitianMatrix,
     RectOperator,
@@ -226,6 +231,17 @@ def test_low_norm_degenerate_spectrum():
     assert cert.removal_trace == (5, 6, 7)
 
 
+def test_low_norm_closed_form_on_positive_contraction():
+    # mean 0.275, deleting 2/3 >= mean: the mean-alpha closed form applies
+    a = HermitianMatrix(np.diag([0.9, 0.1, 0.2, 0.05, 0.3, 0.1]))
+    cert = select_low_norm(a, 2)
+    assert cert.certified_bound == pytest.approx(zd3_bound(0.275, 1.0 / 3.0), abs=1e-15)
+    b_star = mrr_optimal_barrier(0.275, 4.0 / 6.0)
+    assert cert.phi_used == pytest.approx(potential(charpoly_as_roots(a), b_star), rel=1e-14)
+    assert len(cert.kept_indices) == 2
+    assert cert.achieved_extreme <= cert.certified_bound
+
+
 def test_low_norm_rejects_wild_spectrum():
     with pytest.raises(SpectrumOutOfRange):
         select_low_norm(HermitianMatrix(np.diag([2.0, 0.0, 0.0])), 1)
@@ -307,6 +323,31 @@ def test_invertible_validation():
         select_invertible(HermitianMatrix(np.zeros((4, 4))), 0.5)
 
 
+def test_invertible_numeric_barrier_fallback():
+    # rank-2 projection at delta = 1 keeps 2 of 6; the two-point barrier lands
+    # exactly on the top root of I - A, so phi comes from the barrier optimum
+    a = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    cert = select_invertible(HermitianMatrix(a), 1.0)
+    assert cert.kept_indices == (0, 1)
+    expect = optimize_barrier(charpoly_as_roots(HermitianMatrix(np.eye(6) - a)), 4)
+    assert cert.phi_used == expect.optimal_phi
+
+
+def test_invertible_tiny_identity_uses_numeric_barrier():
+    # 1 - 2 alpha + beta of I - A rounds to 0: no two-point surrogate, and the
+    # one-point spectrum of I - A takes phi = n
+    cert = select_invertible(HermitianMatrix(1e-9 * np.eye(6)), 0.5)
+    assert len(cert.kept_indices) == 3
+    assert cert.certified_bound == pytest.approx(0.5e-9, rel=1e-12)
+    assert cert.phi_used == 6.0
+
+
+def test_invertible_underflowing_trace_is_an_input_error():
+    # tr(A^2) underflows to 0, so the modified stable rank is undefined
+    with pytest.raises(InputError):
+        select_invertible(HermitianMatrix(1e-300 * np.eye(6)), 0.5)
+
+
 def test_invertible_random_contraction():
     rng = np.random.default_rng(25)
     for _ in range(5):
@@ -361,3 +402,48 @@ def test_certificate_inequality_enforced():
         SelectionCertificate((0,), 0.5, 1.0, SelectionMode.INVERTIBILITY, None, ())
     # within tolerance both directions are accepted
     SelectionCertificate((0,), 1.0, 1.0, SelectionMode.TWO_SIDED, None, ())
+
+
+def _scaled_input(family: str, n: int, rank: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "identity":
+        return np.eye(n)
+    if family == "projection":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return q[:, :rank] @ q[:, :rank].T
+    x = rng.standard_normal((n, n))
+    if family == "psd":
+        m = x @ x.T
+        return m / np.linalg.eigvalsh(m)[-1]
+    m = x + x.T  # zero diagonal, spectrum in [-1, 1]
+    np.fill_diagonal(m, 0.0)
+    return m / np.max(np.abs(np.linalg.eigvalsh(m)))
+
+
+# subnormal Gram entries overflow when select_columns scales by the top eigenvalue
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["identity", "projection", "psd", "zero_diagonal"]),
+       exponent=st.integers(-300, 0), n=st.integers(2, 12),
+       rank=st.integers(1, 12), seed=st.integers(0, 2**16))
+@example(family="identity", exponent=-9, n=6, rank=1, seed=0)
+@example(family="psd", exponent=-300, n=6, rank=1, seed=0)
+def test_selectors_at_every_scale_certify_or_raise_package_errors(family, exponent, n, rank,
+                                                                  seed):
+    # t*A for t = 10^e: a certificate or a SubforgeError, never another exception
+    m = 10.0 ** exponent * _scaled_input(family, n, min(rank, n), seed)
+    a = HermitianMatrix(m)
+    keep = max(1, n // 2)
+    calls = [lambda: select_two_sided(a, 0.5)]
+    if family != "zero_diagonal":
+        calls += [lambda: select_maxroot_greedy(a, keep),
+                  lambda: select_smax_greedy(a, keep, float(n)),
+                  lambda: select_low_norm(a, keep),
+                  lambda: select_invertible(a, 0.5),
+                  lambda: select_invertible(a, 1.0),
+                  lambda: select_columns(RectOperator(m), 0.5)]
+    for call in calls:
+        try:
+            assert isinstance(call(), SelectionCertificate)
+        except SubforgeError:
+            pass
