@@ -152,14 +152,18 @@ def charpoly_as_roots(a: HermitianMatrix) -> RealRootedPoly:
     return RealRootedPoly(tuple(eigenvalues(a)))
 
 
+_STACK_ENTRIES = 1 << 20  # most matrix entries gathered for one stacked eigensolve
+
+
 def _candidate_eigs(entries: np.ndarray, live: list[int]) -> np.ndarray:
-    """Eigenvalue rows for every defect-1 candidate of the live submatrix."""
-    idx = np.asarray(live)
-    out = np.empty((len(live), len(live) - 1))
-    for t in range(len(live)):
-        keep = np.delete(idx, t)
-        out[t] = _eigs(entries[np.ix_(keep, keep)])
-    return out
+    """Eigenvalue rows for every defect-1 candidate (row t deletes live[t]), from
+    stacked eigensolves of at most _STACK_ENTRIES entries; LAPACK sees each
+    block's own bytes, so every row is bit-identical to solving it alone."""
+    m = len(live)
+    keep = np.asarray(live)[np.arange(m - 1) + np.triu(np.ones((m, m - 1), int))]
+    step = max(1, _STACK_ENTRIES // (m - 1) ** 2)
+    return np.concatenate([_eigs(entries[rows[:, :, None], rows[:, None, :]])
+                           for rows in np.split(keep, range(step, m, step))])
 
 
 def _pick(scores, live: list[int]) -> int:
@@ -399,10 +403,13 @@ def select_columns(t: RectOperator, delta: float) -> SelectionCertificate:
     Runs the invertibility selector on the Gram matrix scaled to top
     eigenvalue 1 and certifies s_min >= sqrt(||T||^2 * its bound), the bound
     rescaled: (||T||_F / sqrt(m)) (sqrt(1-c) - sqrt(delta-c)) at kept fraction c.
+    T is first scaled exactly by 2^-e, its largest entry then in [1/2, 1), so
+    the Gram matrix stays normal; s_min and the bound are scaled back by 2^e.
     """
     if not 0.0 < delta <= 1.0:
         raise DeltaRange(f"delta = {delta} outside (0, 1]")
-    arr = t.entries
+    e = max(int(np.frexp(np.max(np.abs(t.entries)))[1]), -1022)
+    arr = t.entries * math.ldexp(1.0, -e)
     gram = arr.conj().T @ arr
     gram = (gram + gram.conj().T) / 2.0
     ev_g = _eigs(gram)
@@ -411,7 +418,7 @@ def select_columns(t: RectOperator, delta: float) -> SelectionCertificate:
         raise ZeroOperator("operator is numerically zero")
     inner = select_invertible(HermitianMatrix(gram / top), delta)
     kept = inner.kept_indices
-    smin = math.sqrt(max(float(_eigs(gram[np.ix_(kept, kept)])[0]), 0.0))
-    return SelectionCertificate(kept, smin, math.sqrt(top * inner.certified_bound),
+    smin = math.ldexp(math.sqrt(max(float(_eigs(gram[np.ix_(kept, kept)])[0]), 0.0)), e)
+    return SelectionCertificate(kept, smin, math.ldexp(math.sqrt(top * inner.certified_bound), e),
                                 SelectionMode.COLUMN_SELECT, inner.phi_used,
                                 inner.removal_trace)

@@ -382,6 +382,37 @@ def test_select_columns_zero_operator():
         select_columns(RectOperator(np.zeros((3, 4))), 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 5e-324, 1e200])
+def test_select_columns_extreme_scales_certify_the_rescaled_unit_case(scale):
+    # the Gram matrix of 1e-160 * T is subnormal and that of 1e200 * T
+    # overflows; each must certify the unit case's columns, bound times scale
+    unit = select_columns(RectOperator(np.eye(4)[:, :3]), 0.5)
+    cert = select_columns(RectOperator(scale * np.eye(4)[:, :3]), 0.5)
+    assert cert.kept_indices == unit.kept_indices
+    assert cert.removal_trace == unit.removal_trace
+    assert cert.achieved_extreme == scale
+    assert cert.certified_bound == pytest.approx(scale * unit.certified_bound, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), shift=st.integers(-150, 150),
+       seed=st.integers(0, 2**16))
+def test_select_columns_power_of_two_scaling_is_exact(rows, cols, shift, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    try:
+        cert = select_columns(RectOperator(t), 0.5)
+    except DeltaRange:  # floor(delta * msr * cols) = 0 at every scale
+        with pytest.raises(DeltaRange):
+            select_columns(RectOperator(np.ldexp(1.0, shift) * t), 0.5)
+        return
+    scaled = select_columns(RectOperator(np.ldexp(1.0, shift) * t), 0.5)
+    assert scaled.kept_indices == cert.kept_indices
+    assert scaled.achieved_extreme == math.ldexp(cert.achieved_extreme, shift)
+    assert scaled.certified_bound == math.ldexp(cert.certified_bound, shift)
+
+
 def test_permutation_invariance():
     # conjugating by a permutation permutes the kept set, same achieved value
     rng = np.random.default_rng(33)
@@ -420,8 +451,6 @@ def _scaled_input(family: str, n: int, rank: int, seed: int) -> np.ndarray:
     return m / np.max(np.abs(np.linalg.eigvalsh(m)))
 
 
-# subnormal Gram entries overflow when select_columns scales by the top eigenvalue
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from(["identity", "projection", "psd", "zero_diagonal"]),
        exponent=st.integers(-300, 0), n=st.integers(2, 12),
