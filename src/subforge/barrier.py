@@ -22,7 +22,7 @@ from .errors import (
     KOutOfRange,
 )
 from .realroot import (PHI_INFINITY, RealRootedPoly, _CLUSTER_TOL, _check_count, _PhiInfinity,
-                       max_root, smax)
+                       _smax_lanes, max_root, smax)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def optimize_barrier(p: RealRootedPoly, k: int) -> BoundReport:
 
     Coarse log-spaced scan to bracket the minimum (the objective is unimodal
     for the profiles of interest, but the scan costs little and protects
-    against flat stretches), then golden-section refinement on log phi.
+    against flat stretches), then golden-section refinement on log phi.  The scan
+    is one lane-wise smax solve, its phis from math.exp as g's (np.exp may move an ulp).
     """
     k = _check_count(k, 0, p.degree - 1, KOutOfRange, "derivative count")
     roots = p.as_array()
@@ -84,8 +85,8 @@ def optimize_barrier(p: RealRootedPoly, k: int) -> BoundReport:
         return smax(p, phi) - k / phi
 
     grid = np.linspace(lo, hi, 64)
-    vals = [g(t) for t in grid]
-    i = int(np.argmin(vals))
+    phis = np.array([math.exp(t) for t in grid])
+    i = int(np.argmin(_smax_lanes(p, phis) - k / phis))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
 

@@ -151,7 +151,7 @@ def certificate_to_dict(cert: SelectionCertificate) -> dict:
 
 def certificate_from_dict(data: dict) -> SelectionCertificate:
     try:
-        return SelectionCertificate(
+        cert = SelectionCertificate(
             kept_indices=tuple(int(i) for i in data["kept_indices"]),
             achieved_extreme=float(data["achieved_extreme"]),
             certified_bound=float(data["certified_bound"]),
@@ -161,6 +161,9 @@ def certificate_from_dict(data: dict) -> SelectionCertificate:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad certificate payload: {exc}") from exc
+    if sorted(idx := cert.kept_indices + cert.removal_trace) != list(range(len(idx))):
+        raise FormatError(f"bad certificate payload: kept and trace do not partition {idx}")
+    return cert
 
 
 def write_json(path, payload: dict) -> None:

@@ -106,25 +106,43 @@ def smax(p: RealRootedPoly, phi) -> float:
         return max_root(p)
     _check_phi(phi)
     d = max_root(p) - p.as_array()  # all >= 0
-    n = p.degree
-    lo, hi = 1.0 / phi, n / phi
-    if n == 1:
-        return max_root(p) + 1.0 / phi
-    u = hi
+    lo, hi = 1.0 / phi, p.degree / phi
+    u = hi  # degree 1: the first test holds at u = 1/phi, as 1/(1/phi) is phi to an ulp
     with np.errstate(over="ignore"):
         for _ in range(200):
-            f = float(np.sum(1.0 / (u + d))) - phi
+            t = u + d
+            f = float((1.0 / t).sum()) - phi
             if abs(f) <= _PHI_TOL * phi:
                 break
             if f > 0.0:
                 lo = u
             else:
                 hi = u
-            fp = -float(np.sum(1.0 / (u + d) ** 2))
-            # (u + d)**2 may overflow, leaving fp = -0.0: then bisect
+            fp = -float((1.0 / t**2).sum())
+            # t**2 may overflow, leaving fp = -0.0: then bisect
             step = u - f / fp if fp else lo
             u = step if lo < step < hi else 0.5 * (lo + hi)
             if hi - lo <= 1e-16 * hi:
+                break
+    return max_root(p) + u
+
+
+def _smax_lanes(p: RealRootedPoly, phis: np.ndarray) -> np.ndarray:
+    """smax(p, phi) for each phi, bit for bit: smax's loop, each lane freezing on its own exit."""
+    d = max_root(p) - p.as_array()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = 1.0 / phis, p.degree / phis
+        u, stop = hi, np.zeros(len(phis), dtype=bool)
+        for _ in range(200):
+            t = u[:, None] + d
+            f = (1.0 / t).sum(axis=1) - phis
+            done = stop | (np.abs(f) <= _PHI_TOL * phis)
+            lo, hi = np.where(f > 0.0, u, lo), np.where(f > 0.0, hi, u)
+            fp = -(1.0 / t**2).sum(axis=1)
+            step = np.where(fp != 0.0, u - f / fp, lo)  # fp = -0.0 bisects, as in smax
+            u = np.where(done, u, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+            stop = done | (hi - lo <= 1e-16 * hi)
+            if stop.all():
                 break
     return max_root(p) + u
 
@@ -218,11 +236,18 @@ def _interior_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     hi = mu[:, 1:].copy()
     live = np.arange(len(mu))  # rows still bisecting
     a_lo, a_hi, a_mu, a_w = lo, hi, mu[:, None, :], w[:, None, :]
-    for _ in range(120):
+    # widths about halve per step and |mid| <= max|mu|: no exit test can hold before
+    # t0 = floor(log2(narrowest row's widest gap / (_ROOT_TOL max(1, max|mu|)))) - 3,
+    # computed here from half gaps (hence - 2), which cannot overflow
+    half_gap = (0.5 * hi - 0.5 * lo).max(axis=1).min()
+    t0 = int(np.log2(half_gap / (_ROOT_TOL * max(1.0, np.abs(mu).max())))) - 2
+    for step in range(120):
         mid = 0.5 * (a_lo + a_hi)
         pos = (a_w / (mid[:, :, None] - a_mu)).sum(axis=2) > 0.0
         a_lo = np.where(pos, mid, a_lo)
         a_hi = np.where(pos, a_hi, mid)
+        if step < t0:
+            continue
         done = (a_hi - a_lo <= _ROOT_TOL * np.maximum(1.0, np.abs(mid))).all(axis=1)
         n_done = np.count_nonzero(done)
         if n_done == len(live):

@@ -17,7 +17,17 @@ from subforge.formats import (
     write_roots_csv,
 )
 from subforge.gausslucas import RootSet, hull
-from subforge.submatrix import HermitianMatrix, SelectionMode, select_maxroot_greedy
+from subforge.submatrix import (
+    HermitianMatrix,
+    RectOperator,
+    SelectionMode,
+    select_columns,
+    select_invertible,
+    select_low_norm,
+    select_maxroot_greedy,
+    select_smax_greedy,
+    select_two_sided,
+)
 
 
 def write(path, payload):
@@ -121,6 +131,45 @@ def test_certificate_from_dict_errors():
         certificate_from_dict({
             "kept_indices": [0], "achieved_extreme": 0.0, "certified_bound": 1.0,
             "mode": "NoSuchMode", "phi_used": None, "removal_trace": []})
+
+
+def _stored(kept, trace):
+    return {"kept_indices": kept, "achieved_extreme": -5.0, "certified_bound": 1.0,
+            "mode": "MaxRootGreedy", "phi_used": None, "removal_trace": trace}
+
+
+@pytest.mark.parametrize("kept, trace", [
+    ([0], [7, 7, 7]),  # forged: the stored inequality holds, the indices mean nothing
+    ([0, 1], [-1]),  # negative index
+    ([0, 0], [1]),  # duplicate kept index
+    ([0, 1], [2, 2]),  # duplicate removal
+    ([0, 1], [1]),  # kept and trace overlap
+    ([0, 2], [3]),  # kept and trace leave out index 1
+    ([1], []),  # kept alone is not range(1)
+])
+def test_certificate_from_dict_rejects_non_partitions(kept, trace):
+    with pytest.raises(FormatError, match="partition"):
+        certificate_from_dict(_stored(kept, trace))
+
+
+def test_certificate_round_trip_every_selector_mode():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((8, 8))
+    sym = (x + x.T) / 2
+    psd = x @ x.T / np.linalg.eigvalsh(x @ x.T)[-1]
+    zero_diag = sym - np.diag(np.diag(sym))
+    zero_diag /= np.max(np.abs(np.linalg.eigvalsh(zero_diag)))
+    certs = [
+        select_maxroot_greedy(HermitianMatrix(sym), 4),
+        select_smax_greedy(HermitianMatrix(sym), 4, 3.0),
+        select_low_norm(HermitianMatrix(zero_diag), 4),
+        select_two_sided(HermitianMatrix(zero_diag), 0.5),
+        select_invertible(HermitianMatrix(psd), 0.5),
+        select_columns(RectOperator(x[:, :6]), 0.5),
+    ]
+    assert {c.mode for c in certs} == set(SelectionMode)
+    for cert in certs:
+        assert certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert)))) == cert
 
 
 def test_certificate_mode_values():
