@@ -34,7 +34,7 @@ from .gausslucas import (
     hull,
     rr_spread_report,
 )
-from .realroot import PHI_INFINITY, RealRootedPoly, derivative_roots, nth_derivative_roots, smax
+from .realroot import RealRootedPoly, derivative_roots, nth_derivative_roots, smax
 from .submatrix import (
     HermitianMatrix,
     charpoly_as_roots,
@@ -75,13 +75,6 @@ def _resolve_keep(args, n: int) -> int:
     return math.floor(args.keep_frac * n)
 
 
-def _auto_phi(m: HermitianMatrix, k: int) -> float:
-    report = barrier.optimize_barrier(charpoly_as_roots(m), m.n - k)
-    if report.optimal_phi is PHI_INFINITY:
-        return float(m.n)
-    return report.optimal_phi
-
-
 def _cmd_select(args):
     _require(args.mode == "smax" or args.phi is None, "--phi applies only to smax mode")
     m = formats.load_matrix(args.matrix)
@@ -106,14 +99,11 @@ def _cmd_select(args):
         if args.mode == "maxroot":
             cert = select_maxroot_greedy(m, k)
         else:
-            if phi_arg in (None, "auto"):
-                phi = _auto_phi(m, k)
-                phi_arg = "auto"
-            else:
-                try:
-                    phi = float(phi_arg)
-                except ValueError as exc:
-                    raise InputError(f"--phi must be a number or 'auto', got {phi_arg!r}") from exc
+            phi_arg = "auto" if phi_arg is None else phi_arg
+            try:
+                phi = None if phi_arg == "auto" else float(phi_arg)
+            except ValueError as exc:
+                raise InputError(f"--phi must be a number or 'auto', got {phi_arg!r}") from exc
             cert = select_smax_greedy(m, k, phi)
 
     payload = formats.certificate_to_dict(cert)

@@ -89,17 +89,19 @@ def _parse_point(v, what: str) -> complex:
     raise FormatError(f"{what}: entries must be numbers or [re, im] pairs")
 
 
+def _parse_roots(p: Path, data: dict) -> list[complex]:
+    pts = data["roots"]
+    if not isinstance(pts, list) or not pts:
+        raise FormatError(f"{p}: 'roots' must be a nonempty list")
+    return [_parse_point(v, f"{p}: roots") for v in pts]
+
+
 def load_poly_complex(path) -> ComplexPoly:
     """Read a polynomial; roots are expanded to coefficients if given."""
     p = Path(path)
     data = _load_json(p)
     if "roots" in data:
-        pts = data["roots"]
-        if not isinstance(pts, list) or not pts:
-            raise FormatError(f"{p}: 'roots' must be a nonempty list")
-        zs = [_parse_point(v, f"{p}: roots") for v in pts]
-        coeffs = np.polynomial.polynomial.polyfromroots(zs)
-        return ComplexPoly(tuple(coeffs))
+        return ComplexPoly(tuple(np.polynomial.polynomial.polyfromroots(_parse_roots(p, data))))
     if "coeffs" in data:
         cs = data["coeffs"]
         if not isinstance(cs, list) or not cs:
@@ -123,10 +125,7 @@ def load_poly_real_rooted(path) -> RealRootedPoly:
     p = Path(path)
     data = _load_json(p)
     if "roots" in data:
-        pts = [_parse_point(v, f"{p}: roots") for v in data["roots"]] \
-            if isinstance(data["roots"], list) and data["roots"] else None
-        if pts is None:
-            raise FormatError(f"{p}: 'roots' must be a nonempty list")
+        pts = _parse_roots(p, data)
         if any(z.imag != 0 for z in pts):
             raise FormatError(f"{p}: real-rooted input has complex roots")
         return RealRootedPoly(tuple(z.real for z in pts))

@@ -106,8 +106,6 @@ def derivative(p: ComplexPoly, k: int = 1) -> ComplexPoly:
     c = list(p.coeffs)
     for _ in range(k):
         c = [c[j + 1] * (j + 1) for j in range(len(c) - 1)]
-        if not c:
-            c = [0j]
     if len(c) == 1 and c[0] == 0:
         raise DegreeTooSmall("derivative vanished identically")
     return ComplexPoly(tuple(c))
@@ -335,6 +333,16 @@ def spread_bound(c: float) -> float:
     return zd1_bound(c) if c >= 0.5 else 1.0
 
 
+def _contraction(n: int, c: float, k: int, bound, value: float, slack: float, label: str,
+                 before: RootSet, after: RootSet, hulls=None) -> ContractionReport:
+    """The report of `value`, found after k of n derivatives.  Raises BoundViolation when
+    value exceeds bound(k/n), the guarantee at the realized fraction, by more than slack."""
+    guaranteed = bound(k / n)
+    if value > guaranteed + slack:
+        raise BoundViolation(f"{label} {value} exceeds guaranteed {guaranteed}")
+    return ContractionReport(k, value, bound(c), guaranteed, before, after, hulls)
+
+
 def gl_area_report(p: ComplexPoly, c: float) -> ContractionReport:
     """Hull-area contraction after ceil(c*n) derivatives, with its 4(c - c^2) bound.
 
@@ -351,14 +359,11 @@ def gl_area_report(p: ComplexPoly, c: float) -> ContractionReport:
     if h0.degenerate or h0.area <= 1e-10 * h0.span**2:
         raise DegenerateHull("initial root hull is degenerate")
     k = math.ceil(c * n)
-    guaranteed = area_bound(k / n)
     # at k = n the derivative is a nonzero constant: empty root set, area 0
     after = complex_roots(derivative(p, k)) if k < n else RootSet((), 0.0)
     hk = hull(after) if k < n else None
     ratio = hk.area / h0.area if k < n else 0.0
-    if ratio > guaranteed + 1e-6:
-        raise BoundViolation(f"area ratio {ratio} exceeds guaranteed {guaranteed}")
-    return ContractionReport(k, ratio, area_bound(c), guaranteed, before, after, (h0, hk))
+    return _contraction(n, c, k, area_bound, ratio, 1e-6, "area ratio", before, after, (h0, hk))
 
 
 def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
@@ -370,10 +375,8 @@ def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
 def rr_spread_report(p: RealRootedPoly, c: float) -> ContractionReport:
     """Root-spread contraction after floor(c*n) derivatives vs 2*sqrt(c - c^2).
 
-    The bound is at the input c; the violation guard uses the realized
-    fraction floor(c*n)/n, which is the direction the theorem actually covers
-    (and the trivial factor 1 when rounding lands below 1/2).  The root sets
-    are real, so the report carries no hulls.
+    The guard's realized fraction floor(c*n)/n may fall below 1/2, where the
+    factor is the trivial 1.  The root sets are real, so there are no hulls.
     """
     n = p.degree
     if not 0.5 <= c < 1.0:
@@ -385,11 +388,9 @@ def rr_spread_report(p: RealRootedPoly, c: float) -> ContractionReport:
     k = math.floor(c * n)
     q = nth_derivative_roots(p, k)
     ratio = (q.roots[-1] - q.roots[0]) / spread0
-    guaranteed = spread_bound(k / n)
-    if ratio > guaranteed + 1e-8:
-        raise BoundViolation(f"spread ratio {ratio} exceeds guaranteed {guaranteed}")
     before, after = (RootSet(tuple(complex(r) for r in poly.roots), 0.0) for poly in (p, q))
-    return ContractionReport(k, ratio, spread_bound(c), guaranteed, before, after, (None, None))
+    return _contraction(n, c, k, spread_bound, ratio, 1e-8, "spread ratio", before, after,
+                        (None, None))
 
 
 def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
@@ -399,25 +400,23 @@ def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
 
 
 def disc_report(p: ComplexPoly, c: float) -> ContractionReport:
-    """Max root modulus after floor(c*n) derivatives for unit-disc, zero-mean roots."""
+    """Max root modulus after floor(c*n) derivatives for unit-disc, zero-mean roots.
+
+    The mean is -c_{n-1}/(n c_n) (Vieta); the computed roots' own mean drifts."""
     n = p.degree
     if n < 2:
         raise DegreeTooSmall("need degree >= 2")
     if not 0.5 <= c < 1.0:
         raise CRangeError(f"c = {c} outside [1/2, 1)")
     rs = complex_roots(p)
-    pts = np.asarray(rs.points)
-    if np.max(np.abs(pts)) > 1.0 + 1e-8:
+    if np.max(np.abs(np.asarray(rs.points))) > 1.0 + 1e-8:
         raise SpectrumOutOfRange("roots must lie in the closed unit disc")
-    if abs(np.mean(pts)) > 1e-8:
+    if abs(p.coeffs[-2] / (n * p.coeffs[-1])) > 1e-8:
         raise SpectrumOutOfRange("root mean must vanish")
     k = math.floor(c * n)
     dk = complex_roots(derivative(p, k))
     maxmod = float(np.max(np.abs(np.asarray(dk.points))))
-    guaranteed = spread_bound(k / n)
-    if maxmod > guaranteed + 1e-6:
-        raise BoundViolation(f"max modulus {maxmod} exceeds guaranteed {guaranteed}")
-    return ContractionReport(k, maxmod, spread_bound(c), guaranteed, rs, dk)
+    return _contraction(n, c, k, spread_bound, maxmod, 1e-6, "max modulus", rs, dk)
 
 
 def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:

@@ -108,7 +108,7 @@ def smax(p: RealRootedPoly, phi) -> float:
     d = max_root(p) - p.as_array()  # all >= 0
     lo, hi = 1.0 / phi, p.degree / phi
     u = hi  # degree 1: the first test holds at u = 1/phi, as 1/(1/phi) is phi to an ulp
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(200):
             t = u + d
             f = float((1.0 / t).sum()) - phi

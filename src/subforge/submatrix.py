@@ -51,7 +51,6 @@ from .realroot import (
     max_root,
     nth_derivative_roots,
     potential,
-    smax,
 )
 
 
@@ -91,14 +90,6 @@ class RectOperator:
             raise InputError("operator must be a nonempty 2-d array")
         object.__setattr__(self, "entries", t)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
 
 class SelectionMode(enum.Enum):
     MAXROOT_GREEDY = "MaxRootGreedy"
@@ -112,7 +103,7 @@ class SelectionMode(enum.Enum):
 _UPPER_MODES = {SelectionMode.MAXROOT_GREEDY, SelectionMode.SMAX_GREEDY, SelectionMode.TWO_SIDED}
 
 
-_CERTIFICATE_SLACK = 1e-8  # absolute slack of a certificate's re-checked inequality
+_CERTIFICATE_SLACK = 1e-8  # re-checked inequality's slack per unit of max(1, |achieved|, |bound|)
 
 
 @dataclass(frozen=True)
@@ -125,10 +116,12 @@ class SelectionCertificate:
     removal_trace: tuple[int, ...]
 
     def __post_init__(self):
+        ends = (self.achieved_extreme, self.certified_bound)  # inf must not make the slack inf
+        slack = _CERTIFICATE_SLACK * max([1.0] + [abs(v) for v in ends if math.isfinite(v)])
         if self.mode in _UPPER_MODES:
-            ok = self.achieved_extreme <= self.certified_bound + _CERTIFICATE_SLACK
+            ok = self.achieved_extreme <= self.certified_bound + slack
         else:
-            ok = self.achieved_extreme >= self.certified_bound - _CERTIFICATE_SLACK
+            ok = self.achieved_extreme >= self.certified_bound - slack
         if not ok:
             raise CertificateViolation(
                 f"{self.mode.value}: achieved {self.achieved_extreme} violates "
@@ -224,17 +217,23 @@ def select_maxroot_greedy(a: HermitianMatrix, k: int) -> SelectionCertificate:
     return _certify(a, live, trace, bound, SelectionMode.MAXROOT_GREEDY)
 
 
-def select_smax_greedy(a: HermitianMatrix, k: int, phi: float) -> SelectionCertificate:
+def select_smax_greedy(a: HermitianMatrix, k: int,
+                       phi: float | None = None) -> SelectionCertificate:
     """Greedy removal minimising the soft maximum at fixed potential phi.
 
     Each round the chosen candidate's smax drops by at least 1/phi, so the
-    certified bound is smax_phi(charpoly) - (n - k)/phi.
+    certified bound is smax_phi(charpoly) - (n - k)/phi.  phi=None takes the
+    barrier optimum's phi for n - k removals, and n on a one-point spectrum.
     """
     n = a.n
     k = _check_count(k, 1, n - 1, KOutOfRange, "subset size")
+    chi = charpoly_as_roots(a)
+    if phi is None:
+        phi, _ = _greedy_phi(chi, n - k, None)
+        phi = float(n) if phi is PHI_INFINITY else phi
     _check_phi(phi)
     phi = float(phi)
-    bound = smax(charpoly_as_roots(a), phi) - (n - k) / phi
+    bound = barrier_bound(chi, n - k, phi)
     live, trace = _greedy(a.entries, k, lambda rows: _smax_batch(rows, phi))
     return _certify(a, live, trace, bound, SelectionMode.SMAX_GREEDY, phi)
 

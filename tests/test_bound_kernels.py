@@ -262,8 +262,8 @@ _SPREAD = (RealRootedPoly((-2.0, -0.5, 0.1, 0.3, 1.5)),
            np.array([1e-308] + [10.0 ** x for x in range(-6, 9)]))  # 1/1e-308 * 5 overflows
 
 
-# tiny roots at large phi underflow t**2 to 0 in the scalar smax, which then
-# divides by zero (fp = -inf) and bisects, as it always has
+# tiny roots at large phi underflow t**2 to 0; the frozen scalar smax then
+# divides by zero (fp = -inf) and bisects, warning as it always has
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(case=_lane_inputs())

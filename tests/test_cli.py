@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,37 @@ def test_select_smax_extreme_scale(tmp_path, capsys):
     cert = report["outputs"]["certificate"]
     assert cert["kept_indices"] == [0, 1]
     assert cert["achieved_extreme"] <= cert["certified_bound"]
+
+
+def test_select_smax_tiny_scale_prints_no_warning(tmp_path, capsys):
+    # smax's Newton slope overflows here: 1/t**2 divides by zero
+    f = matrix_file(tmp_path, "m.json", 1e-200 * np.diag([1.0, 2.0, 3.0, 4.0]))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, ["select", "--matrix", f, "--mode", "smax",
+                                  "--keep", "2", "--phi", "1e250"])
+    assert (rc, err, seen) == (0, "", [])
+
+
+def test_select_smax_phi_defaults_to_auto(tmp_path, capsys):
+    f = matrix_file(tmp_path, "m.json", np.diag([0.0, 0.3, 0.5, 1.0, 2.0]))
+    argv = ["select", "--matrix", f, "--mode", "smax", "--keep", "2"]
+    reports = [run_report(capsys, argv + extra) for extra in ([], ["--phi", "auto"])]
+    for r in reports:
+        del r["timings"]
+    assert reports[0] == reports[1]
+    # an out-of-range size is the selector's own error, also in auto mode
+    rc, _, err = run(capsys, argv[:-1] + ["9"])
+    assert rc == 2
+    assert json.loads(err) == {"error": "KOutOfRange", "message": "subset size 9 outside [1, 4]"}
+
+
+def test_select_maxroot_large_scale_certifies(tmp_path, capsys):
+    # certificate slack scales with the input: at 1e9 a ~7e-12 relative gap passes
+    x = np.random.default_rng(0).standard_normal((30, 30))
+    f = matrix_file(tmp_path, "m.json", 1e9 * (np.eye(30) + 1e-12 * (x + x.T)))
+    report = run_report(capsys, ["select", "--matrix", f, "--mode", "maxroot", "--keep", "15"])
+    assert len(report["outputs"]["certificate"]["kept_indices"]) == 15
 
 
 def test_select_invertible_writes_out(tmp_path, capsys):

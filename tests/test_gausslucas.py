@@ -26,6 +26,7 @@ from subforge.gausslucas import (
     derivative,
     directional_spread,
     disc_containment,
+    disc_report,
     gl_area_ratio,
     hull,
     hull_contains,
@@ -429,12 +430,48 @@ def test_disc_containment_symmetric():
     assert bound == pytest.approx(2 * math.sqrt(0.7 - 0.49), abs=1e-12)
 
 
-def test_disc_containment_rejects_clustered_mean_drift():
-    # a multiplicity-5 cluster recovers its mean only to ~1e-7, which the
-    # zero-mean precondition (1e-8 on recovered roots) deliberately rejects
+def test_disc_containment_accepts_clustered_zero_mean():
+    # a multiplicity-5 cluster recovers its mean only to ~1e-7, but the
+    # zero-mean precondition reads the mean from the coefficients (Vieta)
     p = ComplexPoly(tuple(pc.polyfromroots([0.8, -0.8] * 5)))
+    maxmod, bound = disc_containment(p, 0.7)
+    assert maxmod == pytest.approx(0.462, abs=5e-4)
+    assert bound == pytest.approx(0.9165, abs=5e-5)
+
+
+def test_disc_containment_rejects_shifted_cluster():
+    p = ComplexPoly(tuple(pc.polyfromroots([0.8 + 1e-6, -0.8 + 1e-6] * 5)))
     with pytest.raises(SpectrumOutOfRange):
         disc_containment(p, 0.7)
+
+
+# degree 74, uniform in the unit disc, rounded to 1e-3: built as the benchmark's
+# disc inputs are (centred, scaled to max modulus 0.95), its Aberth roots' mean
+# is 5.4e-7 off zero while the coefficients give 1.3e-17
+_DISC_74_RE = (
+    151, -44, -866, 444, 369, 282, -320, 261, 332, 338, -371, -369, 163, -162, -595, 155,
+    485, 359, 334, -637, -110, -814, 590, -319, -580, 0, 459, -47, 496, -230, 978, -637,
+    -549, 52, 766, -869, -415, 550, 27, -974, 837, -450, 459, 571, 591, 482, 866, 447,
+    726, -594, -284, -346, -287, 304, 735, 718, -993, -231, 20, -309, -67, -419, 344, 759,
+    -46, 496, -723, 796, 237, -570, -559, 195, 401, -47,
+)
+_DISC_74_IM = (
+    842, 948, 12, 829, -303, -810, -739, -463, 416, 852, 280, 498, -624, -530, -1, 848,
+    -309, -647, -104, 141, -870, 416, -9, -392, 630, -558, 104, -603, -326, 415, 164, 425,
+    772, 626, -548, -13, 543, -137, -775, -218, 23, 856, -296, 570, 674, -751, 285, -581,
+    -268, 707, 200, 753, 514, 349, -259, -529, -13, 586, -149, 593, -434, 747, -798, -465,
+    -421, -291, 683, -74, -938, -12, -413, -356, 29, 371,
+)
+
+
+def test_disc_report_accepts_high_degree_centred_roots():
+    z = (np.array(_DISC_74_RE) + 1j * np.array(_DISC_74_IM)) / 1000.0
+    z = z - z.mean()
+    z = z * (0.95 / np.max(np.abs(z)))
+    r = disc_report(ComplexPoly(tuple(pc.polyfromroots(z))), 0.75)
+    assert r.k == 55
+    assert r.value == pytest.approx(0.3259, abs=5e-4)
+    assert r.value <= r.bound_realized
 
 
 def test_disc_containment_random_centered():

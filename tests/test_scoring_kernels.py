@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from subforge import submatrix
 from subforge.barrier import optimize_barrier
-from subforge.realroot import PHI_INFINITY, _smax_batch
+from subforge.realroot import PHI_INFINITY, _smax_batch, smax
 from subforge.submatrix import (
     HermitianMatrix,
     _candidate_eigs,
@@ -185,3 +185,30 @@ def test_greedy_selections_match_frozen_reference_greedy(seed, monkeypatch):
         assert cert.kept_indices == ref.kept_indices, mode
         assert cert.removal_trace == ref.removal_trace, mode
         assert cert.certified_bound.hex() == ref.certified_bound.hex(), mode
+
+
+def _frozen_auto_phi_select(a, k):
+    """The auto-phi path as it was: the CLI took the barrier optimum's phi (n
+    on a one-point spectrum) and the selector certified smax_phi - (n - k)/phi."""
+    report = optimize_barrier(charpoly_as_roots(a), a.n - k)
+    phi = float(a.n) if report.optimal_phi is PHI_INFINITY else report.optimal_phi
+    bound = smax(charpoly_as_roots(a), phi) - (a.n - k) / phi
+    return select_smax_greedy(a, k, phi), bound
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_auto_phi_matches_frozen_cli_path(seed):
+    rng = np.random.default_rng(seed)
+    n = 16
+    inputs = [_hermitian(rng, n), rng.standard_normal((n, n)), _projection(rng, n, n // 4),
+              _projection(rng, n, n // 2), -0.75 * np.eye(n)]
+    for entries in inputs:
+        a = HermitianMatrix((entries + entries.conj().T) / 2)
+        for k in (1, n // 2, n - 1):
+            cert = select_smax_greedy(a, k)
+            ref, bound = _frozen_auto_phi_select(a, k)
+            assert cert.kept_indices == ref.kept_indices
+            assert cert.removal_trace == ref.removal_trace
+            assert cert.phi_used.hex() == ref.phi_used.hex()
+            assert cert.achieved_extreme.hex() == ref.achieved_extreme.hex()
+            assert cert.certified_bound.hex() == bound.hex()

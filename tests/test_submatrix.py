@@ -435,6 +435,28 @@ def test_certificate_inequality_enforced():
     SelectionCertificate((0,), 1.0, 1.0, SelectionMode.TWO_SIDED, None, ())
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+def test_certificate_slack_scales_with_input(scale):
+    # the kept block's top eigenvalue sits ~7e-12 relative above the bound at
+    # every scale; an absolute slack rejected it from scale 1e6 on
+    x = np.random.default_rng(0).standard_normal((30, 30))
+    a = HermitianMatrix(scale * (np.eye(30) + 1e-12 * (x + x.T)))
+    cert = select_maxroot_greedy(a, 15)
+    assert cert.achieved_extreme > cert.certified_bound
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+def test_scaled_forged_certificates_rejected(scale):
+    bound = 1.7 * scale
+    with pytest.raises(CertificateViolation):
+        SelectionCertificate((0,), bound * (1 + 1e-6), bound, SelectionMode.SMAX_GREEDY, 1.0, ())
+    with pytest.raises(CertificateViolation):
+        SelectionCertificate((0,), bound * (1 - 1e-6), bound, SelectionMode.INVERTIBILITY, None,
+                             ())
+    with pytest.raises(CertificateViolation):  # an infinite end does not widen the slack
+        SelectionCertificate((0,), math.inf, bound, SelectionMode.MAXROOT_GREEDY, None, ())
+
+
 def _scaled_input(family: str, n: int, rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if family == "identity":
