@@ -166,6 +166,8 @@ def _cmd_gauss_lucas(args):
     if check in ("area", "spread", "disc"):
         _require(c is not None, f"--c is required for {check}")
         _require(args.k is None, "--k applies only to chain")
+    else:
+        _require(not args.emit_csv, "--emit-csv supports area, spread, and disc")
     code = 0
     csv_parts = None
     try:
@@ -196,11 +198,8 @@ def _cmd_gauss_lucas(args):
     except DegenerateHull as exc:
         outputs = {"check": check, "verdict": "not_applicable", "reason": str(exc)}
 
-    if args.emit_csv:
-        _require(check in ("area", "spread", "disc"),
-                 "--emit-csv supports area, spread, and disc")
-        if csv_parts is not None:
-            formats.write_roots_csv(args.emit_csv, *csv_parts)
+    if csv_parts is not None:
+        formats.write_roots_csv(args.emit_csv, *csv_parts)
 
     params = {"check": check, "c": c, "k": args.k}
     return outputs, [args.poly], params, code

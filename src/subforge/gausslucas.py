@@ -70,10 +70,6 @@ class HullReport:
     centroid: complex  # mean of the input points, not of the vertices
     degenerate: bool
 
-    def width(self, theta: float) -> float:
-        """Width of the hull along direction theta, computed on demand."""
-        return directional_spread(self.hull_vertices, theta)
-
     @property
     def span(self) -> float:
         """Diameter of the vertex set."""
@@ -131,6 +127,8 @@ def _residuals(y: np.ndarray) -> np.ndarray:
     return np.abs(y[2]) / np.maximum(y[3].real, 1e-300)
 
 
+# overflow and NaN in a failing sweep are caught by the residual test below
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def complex_roots(p: ComplexPoly) -> RootSet:
     """All roots by Aberth-Ehrlich simultaneous iteration.
 
@@ -366,12 +364,6 @@ def gl_area_report(p: ComplexPoly, c: float) -> ContractionReport:
     return _contraction(n, c, k, area_bound, ratio, 1e-6, "area ratio", before, after, (h0, hk))
 
 
-def gl_area_ratio(p: ComplexPoly, c: float) -> tuple[float, float]:
-    """(ratio, bound at the input c) of `gl_area_report`."""
-    r = gl_area_report(p, c)
-    return r.value, r.bound
-
-
 def rr_spread_report(p: RealRootedPoly, c: float) -> ContractionReport:
     """Root-spread contraction after floor(c*n) derivatives vs 2*sqrt(c - c^2).
 
@@ -393,12 +385,6 @@ def rr_spread_report(p: RealRootedPoly, c: float) -> ContractionReport:
                         (None, None))
 
 
-def rr_spread_ratio(p: RealRootedPoly, c: float) -> tuple[float, float]:
-    """(ratio, bound at the input c) of `rr_spread_report`."""
-    r = rr_spread_report(p, c)
-    return r.value, r.bound
-
-
 def disc_report(p: ComplexPoly, c: float) -> ContractionReport:
     """Max root modulus after floor(c*n) derivatives for unit-disc, zero-mean roots.
 
@@ -417,12 +403,6 @@ def disc_report(p: ComplexPoly, c: float) -> ContractionReport:
     dk = complex_roots(derivative(p, k))
     maxmod = float(np.max(np.abs(np.asarray(dk.points))))
     return _contraction(n, c, k, spread_bound, maxmod, 1e-6, "max modulus", rs, dk)
-
-
-def disc_containment(p: ComplexPoly, c: float) -> tuple[float, float]:
-    """(max modulus, bound at the input c) of `disc_report`."""
-    r = disc_report(p, c)
-    return r.value, r.bound
 
 
 def sharpness_experiment(m: int, c: float) -> float:

@@ -23,13 +23,13 @@ from subforge.gausslucas import (
     check_chain,
     complex_roots,
     derivative,
-    gl_area_ratio,
+    gl_area_report,
     hull,
     hull_contains,
-    rr_spread_ratio,
+    rr_spread_report,
     sharpness_experiment,
 )
-from subforge.oracle import brute_force_best_subset, grid_search_potential, thompson_residual
+from subforge.oracle import brute_force_best_subset, thompson_residual
 from subforge.realroot import RealRootedPoly, nth_derivative_roots, smax
 from subforge.barrier import SpectralProfile, refined_potential_bound
 from subforge.submatrix import (
@@ -42,6 +42,7 @@ from subforge.submatrix import (
     select_smax_greedy,
 )
 from conftest import rand_contraction, rand_herm, rand_traceless_unit, record
+from reference import grid_search_potential
 
 pc = np.polynomial.polynomial
 
@@ -217,8 +218,8 @@ def test_criterion_09_hull_area_contraction():
         zs = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, deg))
         p = ComplexPoly(tuple(pc.polyfromroots(zs)))
         c = cs[i % 4]
-        ratio, bound = gl_area_ratio(p, c)
-        worst_ratio_excess = max(worst_ratio_excess, ratio - bound)
+        r = gl_area_report(p, c)
+        worst_ratio_excess = max(worst_ratio_excess, r.value - r.bound)
         h0 = hull(complex_roots(p))
         prev_area = h0.area
         for k in range(1, deg):
@@ -250,7 +251,7 @@ def test_criterion_10_sharpness_windows():
         if not lo <= area <= hi:
             failures.append(f"area m={m} c={c:.3f}: {area:.4f} outside [{lo:.4f}, {hi:.4f}]")
         p = RealRootedPoly((-1.0,) * m + (1.0,) * m)
-        spread, _ = rr_spread_ratio(p, c)
+        spread = rr_spread_report(p, c).value
         lo_s, hi_s = math.sqrt(1.0 - c) - 0.05, 2.0 * math.sqrt(c - c * c)
         if not lo_s <= spread <= hi_s:
             failures.append(f"spread m={m} c={c:.3f}: {spread:.4f} outside [{lo_s:.4f}, {hi_s:.4f}]")

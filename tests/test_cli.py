@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subforge
 from subforge.cli import main
 from subforge.errors import ConvergenceFailure, OracleFailure
 from subforge.formats import SCHEMA_VERSION, certificate_from_dict
@@ -390,10 +395,12 @@ def _disc_roots(radius, n, seed=3):
     return [[z.real, z.imag] for z in roots]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+_STALL = {"coeffs": [0.0] * 5 + [1e100] + [0.0] * 14 + [1.0]}
+
+
 @pytest.mark.parametrize("payload, check", [
     # z^20 + 1e100 z^5: Aberth stalls for all 500 sweeps
-    ({"coeffs": [0.0] * 5 + [1e100] + [0.0] * 14 + [1.0]}, "area"),
+    (_STALL, "area"),
     # roots of modulus up to 100 at degree 100: p overflows, every residual is NaN
     ({"roots": _disc_roots(100.0, 100)}, "area"),
     ({"roots": _disc_roots(100.0, 100)}, "disc"),
@@ -405,6 +412,33 @@ def test_gauss_lucas_solver_failure_exits_4(tmp_path, capsys, payload, check):
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "RootConvergenceFailure"
+
+
+@pytest.mark.parametrize("payload, check", [(_STALL, "area"),
+                                            ({"roots": _disc_roots(100.0, 100)}, "disc")])
+def test_gauss_lucas_solver_failure_stderr_is_one_line(tmp_path, payload, check):
+    # a fresh interpreter shows stderr as a user sees it: no warning capture, no filters
+    f = poly_file(tmp_path, "p.json", payload)
+    argv = [sys.executable, "-m", "subforge", "gauss-lucas", "--poly", f, "--check", check,
+            "--c", "0.5"]
+    path = [str(Path(subforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "RootConvergenceFailure"
+
+
+def test_gauss_lucas_csv_check_comes_before_the_work(tmp_path, capsys):
+    # chain has no CSV: the stalling input is refused without a root solve
+    f = poly_file(tmp_path, "p.json", _STALL)
+    csv_path = tmp_path / "x.csv"
+    rc, out, err = run(capsys, ["gauss-lucas", "--poly", f, "--check", "chain", "--k", "2",
+                                "--emit-csv", str(csv_path)])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("exc", [ConvergenceFailure, OracleFailure])

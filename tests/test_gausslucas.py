@@ -25,14 +25,13 @@ from subforge.gausslucas import (
     complex_roots,
     derivative,
     directional_spread,
-    disc_containment,
     disc_report,
-    gl_area_ratio,
+    gl_area_report,
     hull,
     hull_contains,
     majorizes,
     real_part_poly,
-    rr_spread_ratio,
+    rr_spread_report,
     sharpness_experiment,
 )
 from subforge.realroot import RealRootedPoly
@@ -290,7 +289,7 @@ def test_hull_square_with_interior_point():
     assert h.area == pytest.approx(4.0, abs=1e-12)
     # centroid is the mean of all inputs, interior point included
     assert h.centroid == pytest.approx((5 + 5j) / 5, abs=1e-12)
-    assert h.width(0.0) == pytest.approx(2.0, abs=1e-12)
+    assert directional_spread(h.hull_vertices, 0.0) == pytest.approx(2.0, abs=1e-12)
     assert h.span == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
@@ -336,44 +335,44 @@ def test_directional_spread():
 
 def test_gl_area_ratio_fourth_roots():
     p = ComplexPoly(tuple(pc.polyfromroots([1, -1, 1j, -1j])))
-    ratio, bound = gl_area_ratio(p, 0.5)
-    assert bound == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= ratio <= 1.0 + 1e-9
+    r = gl_area_report(p, 0.5)
+    assert r.bound == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= r.value <= 1.0 + 1e-9
     with pytest.raises(CRangeError):
-        gl_area_ratio(p, 0.4)
+        gl_area_report(p, 0.4)
     with pytest.raises(DegreeTooSmall):
-        gl_area_ratio(ComplexPoly(tuple(pc.polyfromroots([1, -1, 1j]))), 0.5)
+        gl_area_report(ComplexPoly(tuple(pc.polyfromroots([1, -1, 1j]))), 0.5)
 
 
 def test_gl_area_ratio_cube_family():
     # (z^3-1)^10 at c = 2/3 sits near the sharpness value (1/3)^(4/3)
-    ratio, bound = gl_area_ratio(cube_roots_poly(10), 2.0 / 3.0)
-    assert bound == pytest.approx(8.0 / 9.0, abs=1e-12)
-    assert (1.0 / 3.0) ** (4.0 / 3.0) - 0.05 <= ratio <= bound + 1e-9
+    r = gl_area_report(cube_roots_poly(10), 2.0 / 3.0)
+    assert r.bound == pytest.approx(8.0 / 9.0, abs=1e-12)
+    assert (1.0 / 3.0) ** (4.0 / 3.0) - 0.05 <= r.value <= r.bound + 1e-9
 
 
 def test_gl_area_ratio_random_disc():
     rng = np.random.default_rng(59)
     zs = np.sqrt(rng.uniform(0, 1, 24)) * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
     p = ComplexPoly(tuple(pc.polyfromroots(zs)))
-    ratio, bound = gl_area_ratio(p, 0.75)
-    assert bound == pytest.approx(0.75, abs=1e-12)
-    assert ratio <= bound + 1e-6
+    r = gl_area_report(p, 0.75)
+    assert r.bound == pytest.approx(0.75, abs=1e-12)
+    assert r.value <= r.bound + 1e-6
 
 
 def test_gl_area_ratio_derivative_exhausts_degree():
     # c = 0.9 with degree 8 rounds up to k = 8: empty root set, zero area
     rng = np.random.default_rng(61)
     zs = 0.5 * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8))
-    ratio, bound = gl_area_ratio(ComplexPoly(tuple(pc.polyfromroots(zs))), 0.9)
-    assert ratio == 0.0
-    assert bound == pytest.approx(4 * (0.9 - 0.81), abs=1e-12)
+    r = gl_area_report(ComplexPoly(tuple(pc.polyfromroots(zs))), 0.9)
+    assert r.value == 0.0
+    assert r.bound == pytest.approx(4 * (0.9 - 0.81), abs=1e-12)
 
 
 def test_gl_area_degenerate_input():
     p = ComplexPoly(tuple(pc.polyfromroots([0.0, 0.1, 0.2, 0.3, 0.4])))
     with pytest.raises(DegenerateHull):
-        gl_area_ratio(p, 0.5)
+        gl_area_report(p, 0.5)
 
 
 def test_directional_width_never_beats_spread_bound():
@@ -387,62 +386,62 @@ def test_directional_width_never_beats_spread_bound():
     hk = hull(complex_roots(derivative(p, k)))
     bound = 2.0 * math.sqrt(c - c * c)
     for theta in np.linspace(0.0, math.pi, 180):
-        w0 = h0.width(theta)
-        assert hk.width(theta) <= bound * w0 + 1e-6 * max(1.0, w0)
+        w0 = directional_spread(h0.hull_vertices, theta)
+        assert directional_spread(hk.hull_vertices, theta) <= bound * w0 + 1e-6 * max(1.0, w0)
 
 
 def test_rr_spread_ratio_two_point():
     p = RealRootedPoly((-1.0,) * 10 + (1.0,) * 10)
-    ratio, bound = rr_spread_ratio(p, 0.75)
-    assert bound == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-    assert 0.48 <= ratio <= bound + 1e-9
+    r = rr_spread_report(p, 0.75)
+    assert r.bound == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+    assert 0.48 <= r.value <= r.bound + 1e-9
 
 
 def test_rr_spread_ratio_windows():
     # the two-point family stays inside [sqrt(1-c) - 0.05, 2 sqrt(c - c^2)]
     for m in (5, 8, 12, 20):
         p = RealRootedPoly((-1.0,) * m + (1.0,) * m)
-        ratio, bound = rr_spread_ratio(p, 0.75)
-        assert 0.45 <= ratio <= bound + 1e-9
+        r = rr_spread_report(p, 0.75)
+        assert 0.45 <= r.value <= r.bound + 1e-9
 
 
 def test_rr_spread_degenerate():
     with pytest.raises(DegenerateHull):
-        rr_spread_ratio(RealRootedPoly((0.0,) * 6), 0.75)
+        rr_spread_report(RealRootedPoly((0.0,) * 6), 0.75)
     with pytest.raises(CRangeError):
-        rr_spread_ratio(RealRootedPoly((-1.0, 1.0, 2.0)), 0.3)
+        rr_spread_report(RealRootedPoly((-1.0, 1.0, 2.0)), 0.3)
 
 
 def test_disc_containment_pure_power():
     # z^n has all derivative roots at the origin
     p = ComplexPoly((0.0,) * 8 + (1.0,))
-    maxmod, bound = disc_containment(p, 0.5)
-    assert maxmod <= 1e-12
-    assert bound == pytest.approx(1.0, abs=1e-12)
+    r = disc_report(p, 0.5)
+    assert r.value <= 1e-12
+    assert r.bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disc_containment_symmetric():
     # simple roots in +-z pairs: exactly zero mean, all inside the disc
     zs = [0.8, 0.5j, 0.3 + 0.2j, 0.1 - 0.6j, 0.55 + 0.4j]
     p = ComplexPoly(tuple(pc.polyfromroots(zs + [-z for z in zs])))
-    maxmod, bound = disc_containment(p, 0.7)
-    assert maxmod <= bound + 1e-6
-    assert bound == pytest.approx(2 * math.sqrt(0.7 - 0.49), abs=1e-12)
+    r = disc_report(p, 0.7)
+    assert r.value <= r.bound + 1e-6
+    assert r.bound == pytest.approx(2 * math.sqrt(0.7 - 0.49), abs=1e-12)
 
 
 def test_disc_containment_accepts_clustered_zero_mean():
     # a multiplicity-5 cluster recovers its mean only to ~1e-7, but the
     # zero-mean precondition reads the mean from the coefficients (Vieta)
     p = ComplexPoly(tuple(pc.polyfromroots([0.8, -0.8] * 5)))
-    maxmod, bound = disc_containment(p, 0.7)
-    assert maxmod == pytest.approx(0.462, abs=5e-4)
-    assert bound == pytest.approx(0.9165, abs=5e-5)
+    r = disc_report(p, 0.7)
+    assert r.value == pytest.approx(0.462, abs=5e-4)
+    assert r.bound == pytest.approx(0.9165, abs=5e-5)
 
 
 def test_disc_containment_rejects_shifted_cluster():
     p = ComplexPoly(tuple(pc.polyfromroots([0.8 + 1e-6, -0.8 + 1e-6] * 5)))
     with pytest.raises(SpectrumOutOfRange):
-        disc_containment(p, 0.7)
+        disc_report(p, 0.7)
 
 
 # degree 74, uniform in the unit disc, rounded to 1e-3: built as the benchmark's
@@ -481,17 +480,17 @@ def test_disc_containment_random_centered():
     zs = np.concatenate([zs, [-np.sum(zs)]])  # zero mean by construction
     zs /= max(1.0, np.max(np.abs(zs)))
     p = ComplexPoly(tuple(pc.polyfromroots(zs)))
-    maxmod, bound = disc_containment(p, 0.7)
-    assert maxmod <= bound + 1e-6
+    r = disc_report(p, 0.7)
+    assert r.value <= r.bound + 1e-6
 
 
 def test_disc_containment_validation():
     p = ComplexPoly(tuple(pc.polyfromroots([2.0, -2.0])))
     with pytest.raises(SpectrumOutOfRange):
-        disc_containment(p, 0.5)  # roots outside the unit disc
+        disc_report(p, 0.5)  # roots outside the unit disc
     q = ComplexPoly(tuple(pc.polyfromroots([0.5, 0.5])))
     with pytest.raises(SpectrumOutOfRange):
-        disc_containment(q, 0.5)  # mean off zero
+        disc_report(q, 0.5)  # mean off zero
 
 
 def test_sharpness_experiment_values():
